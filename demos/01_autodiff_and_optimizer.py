@@ -8,8 +8,7 @@ a quadratic bowl.
 
 import numpy as np
 
-from offgraph import Tensor, adam_step, xavier_normal_init
-from offgraph.optim import AdamState
+from offgraph import Adam, Tensor, xavier_normal_init
 from offgraph import tensor as T
 
 print("== gradients flow through composed expressions ==")
@@ -40,11 +39,11 @@ table = xavier_normal_init(768, 768, rng_seed=0)
 print(f"sample std {table.data.std():.5f} vs sqrt(2/1536) = {np.sqrt(2/1536):.5f}")
 
 print("\n== Adam on a 1-D quadratic ==")
-p = np.array([-4.0])
-state = AdamState.for_params([p])
+p = Tensor([-4.0], requires_grad=True)
+opt = Adam([p], learning_rate=0.1)
 for step in range(200):
-    grad = 2.0 * (p - 3.0)  # d/dp (p - 3)^2
-    adam_step([p], [grad], state, learning_rate=0.1)
+    p.grad = 2.0 * (p.data - 3.0)  # d/dp (p - 3)^2
+    opt.step()
     if step % 50 == 0:
-        print(f"step {step:3d}  p = {p[0]: .4f}  loss = {(p[0] - 3)**2:.6f}")
-print(f"final  p = {p[0]:.4f} after {state.step_count} updates")
+        print(f"step {step:3d}  p = {p.data[0]: .4f}  loss = {(p.data[0] - 3)**2:.6f}")
+print(f"final  p = {p.data[0]:.4f} after {opt.step_count} updates")

@@ -16,6 +16,7 @@ from .corpus import (
     build_vocab,
     encode,
     load_corpus,
+    load_tweets,
     preprocess_corpus,
     split_corpus,
     tokenize,
@@ -37,7 +38,7 @@ from .graph import (
 from .losses import FocalParams, focal_loss, focal_loss_tensor
 from .metrics import ConfusionMatrix, MetricsReport, auc_score, macro_metrics, metrics_report
 from .model import ABLATIONS, DetectionModel
-from .optim import Adam, AdamState, adam_step, xavier_normal_init
+from .optim import Adam, xavier_normal_init
 from .preprocess import EmojiTable, RawTweet, preprocess, preprocess_text
 from .synthetic import generate_corpus
 from .tensor import Tensor
@@ -62,7 +63,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ABLATIONS",
     "Adam",
-    "AdamState",
     "ConfusionMatrix",
     "Corpus",
     "DetectionModel",
@@ -83,7 +83,6 @@ __all__ = [
     "TrainingDiverged",
     "Vocab",
     "ablate",
-    "adam_step",
     "auc_score",
     "batches",
     "build_graph",
@@ -99,6 +98,7 @@ __all__ = [
     "init_unknown_features",
     "load_checkpoint",
     "load_corpus",
+    "load_tweets",
     "macro_metrics",
     "mask_test_information",
     "metrics_report",

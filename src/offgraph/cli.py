@@ -19,11 +19,11 @@ import argparse
 import json
 import sys
 
-from .corpus import encode, load_corpus, write_edges_tsv, write_tweets_jsonl
+from .corpus import encode, load_corpus, load_tweets, write_edges_tsv, write_tweets_jsonl
 from .graph import build_graph, graph_to_json, with_node_features
 from .metrics import metrics_report
 from .model import ABLATIONS
-from .preprocess import EmojiTable
+from .preprocess import EmojiTable, RawTweet
 from .synthetic import generate_corpus
 from .training import (
     TrainConfig,
@@ -55,27 +55,17 @@ def _cmd_gen_synthetic(args) -> int:
     return 0
 
 
-def _read_tweets_jsonl(path) -> list:
-    from .preprocess import RawTweet
+def _load_preprocessed(path, table: EmojiTable) -> list[RawTweet]:
+    """Read a tweets file and normalize every text against the one emoji table."""
+    # Looked up per call, so a wrapper on offgraph.preprocess.preprocess (perfbench's tracer) sees it.
+    from .preprocess import preprocess
 
-    tweets = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                tweets.append(RawTweet(str(obj["tweet_id"]), str(obj["user_id"]), str(obj["text"]), int(obj["label"])))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad tweet record: {exc}") from exc
-    return tweets
+    return [preprocess(t, table) for t in load_tweets(path)]
 
 
 def _cmd_preprocess(args) -> int:
-    from .preprocess import preprocess
-
     table = EmojiTable.from_tsv(args.emoji) if args.emoji else EmojiTable.default()
-    tweets = [preprocess(t, table) for t in _read_tweets_jsonl(args.infile)]
+    tweets = _load_preprocessed(args.infile, table)
     write_tweets_jsonl(tweets, args.out)
     print(f"wrote {len(tweets)} normalized tweets to {args.out}")
     return 0
@@ -105,10 +95,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    from .preprocess import preprocess
-
     checkpoint = load_checkpoint(args.checkpoint)
-    tweets = [preprocess(t) for t in _read_tweets_jsonl(args.tweets)]
+    tweets = _load_preprocessed(args.tweets, EmojiTable.default())
     unknown = sorted({t.user_id for t in tweets} - set(checkpoint.graph.index))
     if unknown:
         raise SystemExit(f"users not in the checkpoint graph: {', '.join(unknown[:5])}")

@@ -22,6 +22,7 @@ __all__ = [
     "Split",
     "Vocab",
     "TokenSequence",
+    "load_tweets",
     "load_corpus",
     "write_tweets_jsonl",
     "write_edges_tsv",
@@ -56,10 +57,10 @@ class Corpus:
         return len(self.tweets)
 
 
-def load_corpus(tweets_path, edges_path) -> Corpus:
-    """Parse and validate the two data files; errors carry line numbers."""
+def load_tweets(path) -> list[RawTweet]:
+    """Parse a tweets JSONL file; a bad record raises ``path:lineno: bad tweet record``."""
     tweets: list[RawTweet] = []
-    with open(tweets_path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -75,7 +76,13 @@ def load_corpus(tweets_path, edges_path) -> Corpus:
                     )
                 )
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{tweets_path}:{lineno}: bad tweet record: {exc}") from exc
+                raise ValueError(f"{path}:{lineno}: bad tweet record: {exc}") from exc
+    return tweets
+
+
+def load_corpus(tweets_path, edges_path) -> Corpus:
+    """Parse and validate the two data files; errors carry line numbers."""
+    tweets = load_tweets(tweets_path)
     edges: list[tuple[str, str]] = []
     with open(edges_path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):

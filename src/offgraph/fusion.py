@@ -41,6 +41,8 @@ __all__ = [
     "classify",
 ]
 
+POOLINGS = ("mean", "cls")
+
 
 @dataclass
 class FusionParams:
@@ -197,6 +199,6 @@ def classify(
     elif pooling == "cls":
         pooled = hidden[0:1, :]
     else:
-        raise ValueError(f"unknown pooling {pooling!r}")
+        raise ValueError(f"unknown pooling {pooling!r}; expected one of {POOLINGS}")
     logit = matmul(pooled, params.clf_w) + params.clf_b
     return reshape(sigmoid(logit), (1,))

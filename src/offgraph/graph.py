@@ -35,6 +35,8 @@ __all__ = [
     "bow_features",
     "with_node_features",
     "mask_test_information",
+    "graph_to_dict",
+    "graph_from_dict",
     "graph_to_json",
     "graph_from_json",
 ]
@@ -91,19 +93,23 @@ class SocialGraph:
         return out
 
 
+def _out_neighbors(nodes: list[str], edges) -> list[list[int]]:
+    """Each node's sorted followees, the node itself first; repeats and self-follows collapse."""
+    index = {u: i for i, u in enumerate(nodes)}
+    followees: list[set[int]] = [set() for _ in nodes]
+    for follower, followee in edges:
+        if follower != followee:
+            followees[index[follower]].add(index[followee])
+    return [[i] + sorted(f) for i, f in enumerate(followees)]
+
+
 def build_graph(corpus: Corpus) -> SocialGraph:
     """One node per user, a directed arc per relationship, self-loops added.
 
     Repeated relationships in the file collapse to one arc.
     """
     nodes = sorted(corpus.users)
-    index = {u: i for i, u in enumerate(nodes)}
-    followees: list[set[int]] = [set() for _ in nodes]
-    for follower, followee in corpus.edges:
-        if follower != followee:
-            followees[index[follower]].add(index[followee])
-    out_neighbors = [[i] + sorted(f) for i, f in enumerate(followees)]
-    return SocialGraph(nodes=nodes, out_neighbors=out_neighbors)
+    return SocialGraph(nodes=nodes, out_neighbors=_out_neighbors(nodes, corpus.edges))
 
 
 def init_unknown_features(strategy: str, train_stats: tuple[float, float] | None = None) -> np.ndarray:
@@ -182,31 +188,33 @@ def mask_test_information(graph: SocialGraph, split: Split, vocab: Vocab | None 
     return with_node_features(graph, split.train, graph.variant, graph.init_strategy, vocab)
 
 
-def graph_to_json(graph: SocialGraph) -> str:
-    payload = {
+def graph_to_dict(graph: SocialGraph) -> dict:
+    """The JSON-ready payload: nodes, follower -> followee edges, features, variant, init strategy."""
+    return {
         "nodes": graph.nodes,
         "edges": [list(e) for e in graph.directed_edges()],
         "features": None if graph.features is None else graph.features.tolist(),
         "variant": graph.variant,
         "init_strategy": graph.init_strategy,
     }
-    return json.dumps(payload, ensure_ascii=False, indent=2)
 
 
-def graph_from_json(text: str) -> SocialGraph:
-    payload = json.loads(text)
+def graph_from_dict(payload: dict) -> SocialGraph:
+    """Inverse of ``graph_to_dict``; the adjacency is rebuilt from the edge list."""
     nodes = list(payload["nodes"])
-    index = {u: i for i, u in enumerate(nodes)}
-    followees: list[set[int]] = [set() for _ in nodes]
-    for follower, followee in payload["edges"]:
-        if follower != followee:
-            followees[index[follower]].add(index[followee])
-    graph = SocialGraph(
+    features = payload.get("features")
+    return SocialGraph(
         nodes=nodes,
-        out_neighbors=[[i] + sorted(f) for i, f in enumerate(followees)],
+        out_neighbors=_out_neighbors(nodes, payload["edges"]),
+        features=None if features is None else np.asarray(features, dtype=np.float64),
         variant=payload.get("variant", "none"),
         init_strategy=payload.get("init_strategy", "none"),
     )
-    if payload.get("features") is not None:
-        graph.features = np.asarray(payload["features"], dtype=np.float64)
-    return graph
+
+
+def graph_to_json(graph: SocialGraph) -> str:
+    return json.dumps(graph_to_dict(graph), ensure_ascii=False, indent=2)
+
+
+def graph_from_json(text: str) -> SocialGraph:
+    return graph_from_dict(json.loads(text))

@@ -37,7 +37,7 @@ class DetectionModel:
             raise ValueError(f"unknown ablation {config.ablation!r}; expected one of {ABLATIONS}")
         self.config = config
         self.ablation = config.ablation
-        self.pooling = getattr(config, "pooling", "mean")
+        self.pooling = config.pooling
 
         self.gat: GatParams | None = None
         if self.ablation != "no_gat":
@@ -117,7 +117,7 @@ class DetectionModel:
             Tensor(graph.features), graph, self.gat,
             training=training, rng=rng,
             attn_dropout=self.config.attention_dropout,
-            symmetric=getattr(self.config, "symmetric_neighbors", False),
+            symmetric=self.config.symmetric_neighbors,
         )
 
     def _author_rows(self, embeddings: Tensor, author_index: int) -> Tensor:

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["xavier_normal_init", "AdamState", "adam_step", "Adam", "zero_grads"]
+__all__ = ["xavier_normal_init", "Adam", "zero_grads"]
 
 
 def _as_rng(rng_seed) -> np.random.Generator:
@@ -31,66 +30,37 @@ def xavier_normal_init(fan_in: int, fan_out: int, rng_seed) -> Tensor:
     return Tensor(std * rng.standard_normal((fan_in, fan_out)), requires_grad=True)
 
 
-@dataclass
-class AdamState:
-    """Per-parameter moment buffers plus the shared step counter."""
-
-    first_moment: list[np.ndarray]
-    second_moment: list[np.ndarray]
-    step_count: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-
-    @classmethod
-    def for_params(cls, params, beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8) -> "AdamState":
-        shapes = [np.zeros_like(p.data if isinstance(p, Tensor) else p) for p in params]
-        return cls(
-            first_moment=shapes,
-            second_moment=[np.zeros_like(s) for s in shapes],
-            beta1=beta1,
-            beta2=beta2,
-            epsilon=epsilon,
-        )
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
 
 
-def adam_step(params, grads, state: AdamState, learning_rate: float):
-    """One bias-corrected adaptive-moment update, in place.
-
-    ``params`` and ``grads`` are aligned lists of ndarrays (or Tensors, whose
-    ``.data``/``.grad`` are used). Returns ``(params, state)``.
-    """
-    arrays = [p.data if isinstance(p, Tensor) else p for p in params]
-    grad_arrays = [g.grad if isinstance(g, Tensor) else g for g in grads]
-    if len(arrays) != len(grad_arrays):
-        raise ValueError("params and grads must align")
-    for p, g, m, v in zip(arrays, grad_arrays, state.first_moment, state.second_moment):
-        if g is None or p.shape != g.shape or p.shape != m.shape or p.shape != v.shape:
-            raise ValueError("parameter, gradient, and moment shapes must agree")
-    state.step_count += 1
-    bc1 = 1.0 - state.beta1 ** state.step_count
-    bc2 = 1.0 - state.beta2 ** state.step_count
-    for p, g, m, v in zip(arrays, grad_arrays, state.first_moment, state.second_moment):
-        m[...] = state.beta1 * m + (1.0 - state.beta1) * g
-        v[...] = state.beta2 * v + (1.0 - state.beta2) * (g * g)
-        p -= learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
-    return params, state
-
-
-@dataclass
 class Adam:
-    """Adam bound to a fixed parameter list, for use as one learning-rate group."""
+    """Adam bound to a fixed parameter list, for use as one learning-rate group.
 
-    params: list[Tensor]
-    learning_rate: float
-    state: AdamState = field(init=False)
+    Owns the per-parameter first and second moments and the shared step count.
+    """
 
-    def __post_init__(self):
-        self.state = AdamState.for_params(self.params)
+    def __init__(self, params: list[Tensor], learning_rate: float):
+        self.params = list(params)
+        self.learning_rate = learning_rate
+        self.first_moment = [np.zeros_like(p.data) for p in self.params]
+        self.second_moment = [np.zeros_like(p.data) for p in self.params]
+        self.step_count = 0
 
     def step(self) -> None:
+        """One bias-corrected adaptive-moment update from each ``.grad``, in place."""
         grads = [p.grad for p in self.params]
-        adam_step(self.params, grads, self.state, self.learning_rate)
+        for p, g in zip(self.params, grads):
+            if g is None or p.shape != g.shape:
+                raise ValueError("every parameter needs a gradient of its own shape")
+        self.step_count += 1
+        bc1 = 1.0 - BETA1 ** self.step_count
+        bc2 = 1.0 - BETA2 ** self.step_count
+        for p, g, m, v in zip(self.params, grads, self.first_moment, self.second_moment):
+            m[...] = BETA1 * m + (1.0 - BETA1) * g
+            v[...] = BETA2 * v + (1.0 - BETA2) * (g * g)
+            p.data -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + EPSILON)
 
 
 def zero_grads(params) -> None:

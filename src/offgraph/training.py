@@ -23,7 +23,17 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .corpus import Corpus, Split, Vocab, batches, build_vocab, encode, preprocess_corpus, split_corpus
-from .graph import SocialGraph, build_graph, mask_test_information, with_node_features
+from .fusion import POOLINGS
+from .graph import (
+    INIT_STRATEGIES,
+    VARIANTS,
+    SocialGraph,
+    build_graph,
+    graph_from_dict,
+    graph_to_dict,
+    mask_test_information,
+    with_node_features,
+)
 from .losses import FocalParams, focal_loss_tensor
 from .metrics import MetricsReport, metrics_report
 from .model import ABLATIONS, DetectionModel
@@ -102,8 +112,13 @@ class TrainConfig:
                 raise ValueError(f"{name} must be positive")
         if self.early_stop_patience > self.max_epochs:
             raise ValueError("early_stop_patience cannot exceed max_epochs")
-        if self.ablation not in ABLATIONS:
-            raise ValueError(f"unknown ablation {self.ablation!r}")
+        choices = (
+            ("ablation", ABLATIONS), ("graph_variant", VARIANTS),
+            ("init_strategy", INIT_STRATEGIES), ("pooling", POOLINGS),
+        )
+        for name, allowed in choices:
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}; expected one of {allowed}")
         FocalParams(self.focal_alpha, self.focal_gamma)
         return self
 
@@ -391,13 +406,7 @@ def save_checkpoint(run: TrainedRun, path) -> None:
     payload = {
         "config": run.result.config,
         "vocab": run.vocab.tokens,
-        "graph": {
-            "nodes": run.graph.nodes,
-            "edges": [list(e) for e in run.graph.directed_edges()],
-            "features": run.graph.features.tolist(),
-            "variant": run.graph.variant,
-            "init_strategy": run.graph.init_strategy,
-        },
+        "graph": graph_to_dict(run.graph),
         "params": {
             name: {"shape": list(value.shape), "data": value.reshape(-1).tolist()}
             for name, value in run.best_state.items()
@@ -416,13 +425,11 @@ class Checkpoint:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    from .graph import graph_from_json
-
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     config = TrainConfig(**payload["config"]).validate()
     vocab = Vocab(tokens=list(payload["vocab"]))
-    graph = graph_from_json(json.dumps(payload["graph"]))
+    graph = graph_from_dict(payload["graph"])
     model = DetectionModel(config, len(vocab), _feature_dim(config.graph_variant, vocab), _stream(config.seed, 1))
     arrays = {
         name: np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from offgraph.cli import main
+from offgraph.preprocess import EmojiTable
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -115,6 +116,23 @@ def test_eval_command(workdir):
     assert set(report) == {"auc", "accuracy", "precision", "recall", "f1", "confusion"}
 
 
+def test_eval_reads_the_emoji_table_once(workdir, monkeypatch):
+    reads = []
+    from_tsv = EmojiTable.from_tsv.__func__
+
+    def counted(cls, path):
+        reads.append(path)
+        return from_tsv(cls, path)
+
+    monkeypatch.setattr(EmojiTable, "from_tsv", classmethod(counted))
+    rc = main([
+        "eval", "--checkpoint", str(workdir / "ckpt.json"),
+        "--tweets", str(workdir / "tweets.jsonl"), "--out", str(workdir / "eval_once.json"),
+    ])
+    assert rc == 0
+    assert len(reads) == 1
+
+
 def test_eval_rejects_unknown_user(workdir, tmp_path):
     rogue = tmp_path / "rogue.jsonl"
     rogue.write_text(json.dumps({"tweet_id": "x", "user_id": "stranger", "text": "hi", "label": 0}) + "\n")
@@ -146,7 +164,17 @@ def test_sweep_command(workdir):
     assert len(lines) == 7
 
 
-def test_cli_error_paths(tmp_path, capsys):
+def test_cli_error_paths(workdir, tmp_path, capsys):
     rc = main(["preprocess", "--in", str(tmp_path / "missing.jsonl"), "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+    bad = tmp_path / "bad.jsonl"
+    good = json.dumps({"tweet_id": "t1", "user_id": "u000", "text": "hi", "label": 0})
+    bad.write_text(good + "\n\n{not json\n")
+    for argv in (
+        ["preprocess", "--in", str(bad), "--out", str(tmp_path / "o")],
+        ["eval", "--checkpoint", str(workdir / "ckpt.json"), "--tweets", str(bad)],
+    ):
+        assert main(argv) == 1
+        assert f"{bad}:3: bad tweet record" in capsys.readouterr().err

@@ -60,6 +60,12 @@ def test_config_validation():
         TrainConfig(train_fraction=1.5).validate()
     with pytest.raises(ValueError):
         TrainConfig(ablation="bogus").validate()
+    with pytest.raises(ValueError, match=r"pooling 'max'.*'mean', 'cls'"):
+        TrainConfig(pooling="max").validate()
+    with pytest.raises(ValueError, match=r"graph_variant 'dense'.*'soft', 'hard', 'bow'"):
+        TrainConfig(graph_variant="dense").validate()
+    with pytest.raises(ValueError, match=r"init_strategy 'zeros'.*'all0', 'all1', 'avg', 'nonoff'"):
+        TrainConfig(init_strategy="zeros").validate()
 
 
 def test_config_file_roundtrip(tmp_path):
@@ -83,6 +89,9 @@ def test_config_file_comments_and_errors(tmp_path):
     assert cfg.batch_size == 8 and cfg.stratify_split is True
     path.write_text("batch_size 8\n")
     with pytest.raises(ValueError, match="key = value"):
+        parse_config_file(path)
+    path.write_text("pooling = max\n")
+    with pytest.raises(ValueError, match="unknown pooling 'max'"):
         parse_config_file(path)
 
 
@@ -291,6 +300,10 @@ def test_checkpoint_roundtrip(tmp_path, corpus):
     seqs = [encode(t, run.vocab, cfg.max_len) for t in run.split.test[:5]]
     run.model.load_state_arrays(run.best_state)
     assert np.allclose(loaded.model.predict(seqs, loaded.graph), run.model.predict(seqs, run.graph), atol=1e-12)
+    assert loaded.graph.nodes == run.graph.nodes
+    assert loaded.graph.out_neighbors == run.graph.out_neighbors
+    assert np.array_equal(loaded.graph.features, run.graph.features)
+    assert (loaded.graph.variant, loaded.graph.init_strategy) == (run.graph.variant, run.graph.init_strategy)
 
 
 def test_checkpoint_is_json_with_shapes(tmp_path, corpus):
@@ -301,3 +314,8 @@ def test_checkpoint_is_json_with_shapes(tmp_path, corpus):
     assert set(payload) == {"config", "vocab", "graph", "params"}
     name, entry = next(iter(payload["params"].items()))
     assert np.prod(entry["shape"]) == len(entry["data"])
+
+    payload["config"]["graph_variant"] = "dense"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="graph_variant 'dense'"):
+        load_checkpoint(path)
