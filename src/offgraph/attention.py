@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .tensor import Tensor, concat, dropout, matmul, softmax, transpose
+from .tensor import Tensor, batched_matmul, dropout, matmul, reshape, softmax, transpose
 
 __all__ = ["multi_head_attention"]
 
@@ -19,6 +19,7 @@ def multi_head_attention(
     wo: Tensor,
     num_heads: int,
     *,
+    mask: np.ndarray | None = None,
     bq: Tensor | None = None,
     bk: Tensor | None = None,
     bv: Tensor | None = None,
@@ -28,37 +29,48 @@ def multi_head_attention(
     attn_dropout: float = 0.0,
     probs_sink: list | None = None,
 ) -> Tensor:
-    """Self-attention over the rows of ``x`` [S, d]; output has the same shape.
+    """Self-attention over the rows of ``x``; output has the same shape.
 
-    Head h reads its slice of the packed Q/K/V projections, scores with
-    1/sqrt(d_k) scaling, softmax-normalizes per query row, and the
-    concatenated head outputs pass through the output projection. Dropout is
-    applied to the attention probabilities in training mode only.
+    ``x`` is one sequence [S, d] or a padded batch [B, S, d] with ``mask``
+    [B, S] marking its real rows (``None``: all real). Padded rows are never
+    attended to; their own outputs are computed but meaningless. The packed
+    Q/K/V projections split into heads by a reshape to [B, H, S, d_k]; each
+    head scores with 1/sqrt(d_k) scaling and softmax-normalizes per query
+    row, and the concatenated head outputs pass through the output
+    projection. Dropout is applied to the attention probabilities in
+    training mode only.
 
-    ``probs_sink``, when given, collects each head's probability matrix
-    (before dropout); the tests use it to audit row normalization.
+    ``probs_sink``, when given, collects each sequence's per-head
+    probability matrix over its real rows (before dropout); the tests use it
+    to audit row normalization.
     """
-    d_model = x.shape[1]
+    single = x.ndim == 2
+    if single:
+        x = reshape(x, (1,) + x.shape)
+    batch, length, d_model = x.shape
     if d_model % num_heads:
         raise ValueError(f"width {d_model} not divisible by {num_heads} heads")
     d_k = d_model // num_heads
-    scale = Tensor(1.0 / math.sqrt(d_k))
 
-    q = matmul(x, wq)
-    k = matmul(x, wk)
-    v = matmul(x, wv)
-    if bq is not None:
-        q, k, v = q + bq, k + bk, v + bv
+    def heads(w, b, axes):
+        projected = matmul(x, w) if b is None else matmul(x, w) + b
+        return transpose(reshape(projected, (batch, length, num_heads, d_k)), axes)
 
-    head_outputs = []
-    for h in range(num_heads):
-        cols = slice(h * d_k, (h + 1) * d_k)
-        scores = matmul(q[:, cols], transpose(k[:, cols])) * scale
-        probs = softmax(scores, axis=-1)
-        if probs_sink is not None:
-            probs_sink.append(probs)
-        probs = dropout(probs, attn_dropout, training, rng)
-        head_outputs.append(matmul(probs, v[:, cols]))
+    q = heads(wq, bq, (0, 2, 1, 3))  # [B, H, S, d_k]
+    k_t = heads(wk, bk, (0, 2, 3, 1))  # [B, H, d_k, S]
+    v = heads(wv, bv, (0, 2, 1, 3))
+    scores = batched_matmul(q, k_t) * Tensor(1.0 / math.sqrt(d_k))
+    key_mask = None if mask is None else np.where(mask, 0.0, -np.inf)[:, None, None, :]  # [B, 1, 1, S]
+    probs = softmax(scores, axis=-1, mask=key_mask)
+    if probs_sink is not None:
+        valid = np.ones((batch, length), dtype=bool) if mask is None else mask
+        for b in range(batch):
+            rows = np.ix_(valid[b], valid[b])
+            probs_sink.extend(Tensor(probs.data[b, h][rows]) for h in range(num_heads))
+    probs = dropout(probs, attn_dropout, training, rng)
 
-    out = matmul(concat(head_outputs, axis=1), wo)
-    return out if bo is None else out + bo
+    mixed = transpose(batched_matmul(probs, v), (0, 2, 1, 3))  # [B, S, H, d_k]
+    out = matmul(reshape(mixed, (batch, length, d_model)), wo)
+    if bo is not None:
+        out = out + bo
+    return reshape(out, (length, d_model)) if single else out

@@ -2,7 +2,9 @@
 
 Token ids go through learned token and position embeddings, then a stack of
 self-attention blocks; the last block's hidden states come back as one
-embedding row per token (no pooling here). Blocks are pre-norm by default,
+embedding row per token (no pooling here). One sequence runs as [M, d_model]
+rows; a batch runs as one padded [B, S, d_model] computation with a validity
+mask, so padding never reaches a real token. Blocks are pre-norm by default,
 which trains more stably at small widths; the post-norm layout is available
 by flag. Trained jointly with the rest of the model, from scratch.
 """
@@ -127,6 +129,7 @@ def self_attention_block(
     block: EncoderBlockParams,
     num_heads: int,
     *,
+    mask: np.ndarray | None = None,
     training: bool = False,
     rng: np.random.Generator | None = None,
     attn_dropout: float = 0.5,
@@ -134,11 +137,11 @@ def self_attention_block(
     pre_norm: bool = True,
     probs_sink: list | None = None,
 ) -> Tensor:
-    """One residual attention + feed-forward block over [M, d_model] rows."""
+    """One residual attention + feed-forward block over [M, d_model] or masked [B, S, d_model] rows."""
 
     def attend(inp):
         return multi_head_attention(
-            inp, block.wq, block.wk, block.wv, block.wo, num_heads,
+            inp, block.wq, block.wk, block.wv, block.wo, num_heads, mask=mask,
             bq=block.bq, bk=block.bk, bv=block.bv, bo=block.bo,
             training=training, rng=rng, attn_dropout=attn_dropout, probs_sink=probs_sink,
         )
@@ -158,22 +161,30 @@ def encode(
     tokens: TokenSequence | np.ndarray,
     params: EncoderParams,
     *,
+    mask: np.ndarray | None = None,
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Last-layer hidden states, one row per token: [M, d_model]."""
+    """Last-layer hidden states, one row per token.
+
+    ``tokens`` is one sequence of ids (giving [M, d_model]) or a padded
+    [B, S] id array (giving [B, S, d_model]) whose real tokens ``mask``
+    [B, S] marks; every sequence needs at least one.
+    """
     ids = np.asarray(tokens.token_ids if isinstance(tokens, TokenSequence) else tokens, dtype=np.int64)
-    if ids.ndim != 1 or len(ids) == 0:
-        raise ValueError("token ids must be a non-empty 1-D sequence")
-    if len(ids) > params.max_len:
-        raise ValueError(f"sequence length {len(ids)} exceeds max_len {params.max_len}")
+    if ids.ndim not in (1, 2) or ids.shape[-1] == 0:
+        raise ValueError("token ids must be a non-empty 1-D sequence or a [B, S] batch")
+    if mask is not None and (mask.shape != ids.shape or not mask.any(axis=-1).all()):
+        raise ValueError("the mask must match the ids and keep a token in every sequence")
+    if ids.shape[-1] > params.max_len:
+        raise ValueError(f"sequence length {ids.shape[-1]} exceeds max_len {params.max_len}")
     if ids.min() < 0 or ids.max() >= params.token_table.shape[0]:
         raise ValueError("token id out of vocabulary range")
-    x = gather_rows(params.token_table, ids) + gather_rows(params.pos_table, np.arange(len(ids)))
+    x = gather_rows(params.token_table, ids) + gather_rows(params.pos_table, np.arange(ids.shape[-1]))
     x = dropout(x, params.hidden_dropout, training, rng)
     for block in params.blocks:
         x = self_attention_block(
-            x, block, params.num_heads,
+            x, block, params.num_heads, mask=mask,
             training=training, rng=rng,
             attn_dropout=params.attn_dropout, hidden_dropout=params.hidden_dropout,
             pre_norm=params.pre_norm,

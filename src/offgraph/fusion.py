@@ -11,6 +11,11 @@ The fused sequence is layer-normalized, passed through multi-head attention
 with a residual link and a second layer normalization, then a row-wise
 ReLU-first feed-forward layer; the rows are mean-pooled and squashed through
 a logistic unit into P(offensive).
+
+Every function takes one tweet's rows [T, d] or a batch [B, T, d]. A batch
+lays each tweet out as [its tokens, padded to the batch's S slots | its user
+rows], with a [B, T] mask marking the real rows; per-tweet token counts
+place the user rows' shared position, and pooling averages real rows only.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ __all__ = [
     "assemble",
     "add_position_encoding",
     "fuse_attention",
+    "pool_rows",
     "classify",
 ]
 
@@ -133,41 +139,48 @@ def assemble(
     """Stack token rows, adapted head rows, and the adapted residual row.
 
     ``author_rows`` is the author's graph embedding reshaped to one row per
-    head (the residual row last when present). Returns the fused sequence and
-    the token count M, which position encoding needs. Either side may be
-    absent (the corresponding ablations drop it), but not both.
+    head (the residual row last when present), [R, head_dim] or
+    [B, R, head_dim]. Returns the fused sequence and the number of token
+    slots in front of the user rows (M, or the padded S of a batch). Either
+    side may be absent (the corresponding ablations drop it), but not both.
     """
     parts: list[Tensor] = []
     num_tokens = 0
     if token_embeddings is not None:
         parts.append(token_embeddings)
-        num_tokens = token_embeddings.shape[0]
+        num_tokens = token_embeddings.shape[-2]
     if author_rows is not None:
         if params.head_adapter is None:
             raise ValueError("fusion has no adapters but received author rows")
         if params.residual_adapter is not None:
-            heads = author_rows[: author_rows.shape[0] - 1, :]
-            residual = author_rows[author_rows.shape[0] - 1 :, :]
-            parts.append(matmul(heads, params.head_adapter))
-            parts.append(matmul(residual, params.residual_adapter))
+            rows = author_rows.shape[-2]
+            parts.append(matmul(author_rows[..., : rows - 1, :], params.head_adapter))
+            parts.append(matmul(author_rows[..., rows - 1 :, :], params.residual_adapter))
         else:
             parts.append(matmul(author_rows, params.head_adapter))
     if not parts:
         raise ValueError("nothing to fuse: both token and user rows are absent")
-    return concat(parts, axis=0), num_tokens
+    return concat(parts, axis=-2), num_tokens
 
 
-def add_position_encoding(x: Tensor, num_tokens: int) -> Tensor:
-    """Tokens get positions 0..M-1; every user row shares the encoding for M."""
-    total = x.shape[0]
-    positions = list(range(num_tokens)) + [num_tokens] * (total - num_tokens)
-    return x + Tensor(sinusoidal_encoding(positions, x.shape[1]))
+def add_position_encoding(x: Tensor, num_tokens) -> Tensor:
+    """Tokens get positions 0..M-1; every user row shares the encoding for M.
+
+    ``num_tokens`` is M, shared by every sequence, or the per-tweet counts
+    [B] of a batch [B, T, d]. Row j sits at position min(j, M), which also
+    covers a batch's padded token slots; those are masked, so their
+    position is moot.
+    """
+    positions = np.minimum(np.arange(x.shape[-2]), np.asarray(num_tokens)[..., None])
+    table = sinusoidal_encoding(positions.reshape(-1), x.shape[-1])
+    return x + Tensor(table.reshape(positions.shape + (x.shape[-1],)))
 
 
 def fuse_attention(
     x: Tensor,
     params: FusionParams,
     *,
+    mask: np.ndarray | None = None,
     training: bool = False,
     rng: np.random.Generator | None = None,
     attn_dropout: float = 0.5,
@@ -176,29 +189,45 @@ def fuse_attention(
     """Layer norm, multi-head attention, residual link, second layer norm."""
     normed = layer_norm(x, params.ln1_gain, params.ln1_bias)
     attended = multi_head_attention(
-        normed, params.wq, params.wk, params.wv, params.wo, params.num_heads,
+        normed, params.wq, params.wk, params.wv, params.wo, params.num_heads, mask=mask,
         training=training, rng=rng, attn_dropout=attn_dropout, probs_sink=probs_sink,
     )
     return layer_norm(x + attended, params.ln2_gain, params.ln2_bias)
+
+
+def pool_rows(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    """Mean over the row axis, keeping it: [T, d] -> [1, d], [B, T, d] -> [B, 1, d].
+
+    With ``mask`` [B, T] only the rows it keeps count.
+    """
+    if mask is None:
+        return x.mean(axis=-2, keepdims=True)
+    weights = mask / mask.sum(axis=-1, keepdims=True)
+    return (x * Tensor(weights[..., None])).sum(axis=-2, keepdims=True)
 
 
 def classify(
     x: Tensor,
     params: FusionParams,
     *,
+    mask: np.ndarray | None = None,
     training: bool = False,
     rng: np.random.Generator | None = None,
     hidden_dropout: float = 0.1,
     pooling: str = "mean",
 ) -> Tensor:
-    """Row-wise ReLU-then-linear feed-forward, pooling, logistic probability [1]."""
+    """Row-wise ReLU-then-linear feed-forward, pooling, logistic probability.
+
+    One tweet [T, d] gives shape [1]; a batch [B, T, d] gives [B]. Mean
+    pooling averages the rows ``mask`` [B, T] keeps; ``cls`` takes row 0.
+    """
     hidden = matmul(relu(x), params.ffn_w) + params.ffn_b
     hidden = dropout(hidden, hidden_dropout, training, rng)
     if pooling == "mean":
-        pooled = hidden.mean(axis=0, keepdims=True)
+        pooled = pool_rows(hidden, mask)
     elif pooling == "cls":
-        pooled = hidden[0:1, :]
+        pooled = hidden[..., 0:1, :]
     else:
         raise ValueError(f"unknown pooling {pooling!r}; expected one of {POOLINGS}")
     logit = matmul(pooled, params.clf_w) + params.clf_b
-    return reshape(sigmoid(logit), (1,))
+    return reshape(sigmoid(logit), x.shape[:-2] or (1,))

@@ -53,6 +53,9 @@ class SocialGraph:
     variant: str = "none"
     init_strategy: str = "none"
     index: dict[str, int] = field(init=False)
+    _edge_cache: dict[bool, tuple[np.ndarray, np.ndarray]] = field(
+        init=False, default_factory=dict, repr=False, compare=False
+    )
 
     def __post_init__(self):
         self.index = {u: i for i, u in enumerate(self.nodes)}
@@ -69,8 +72,15 @@ class SocialGraph:
         """Flat (source, neighbor) arrays over every attention neighborhood.
 
         The neighborhood of node i is itself plus its followees; with
-        ``symmetric`` the followers are attended over as well.
+        ``symmetric`` the followers are attended over as well. Built once per
+        flag and returned read-only, so ``out_neighbors`` must not change
+        after the first call.
         """
+        if symmetric not in self._edge_cache:
+            self._edge_cache[symmetric] = self._build_edge_arrays(symmetric)
+        return self._edge_cache[symmetric]
+
+    def _build_edge_arrays(self, symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
         hoods: list[set[int]] = [set(nbrs) for nbrs in self.out_neighbors]
         if symmetric:
             for i, nbrs in enumerate(self.out_neighbors):
@@ -81,7 +91,10 @@ class SocialGraph:
             for j in sorted(hood):
                 src.append(i)
                 dst.append(j)
-        return np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+        arrays = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+        for array in arrays:
+            array.flags.writeable = False
+        return arrays
 
     def directed_edges(self) -> list[tuple[str, str]]:
         """The deduplicated follower -> followee pairs, self-loops excluded."""

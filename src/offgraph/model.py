@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .corpus import TokenSequence
+from .corpus import TokenSequence, Vocab
 from .encoder import EncoderParams, encode
-from .fusion import FusionParams, add_position_encoding, assemble, classify, fuse_attention
+from .fusion import FusionParams, add_position_encoding, assemble, classify, fuse_attention, pool_rows
 from .gat import GatParams, gat_forward
 from .graph import SocialGraph
-from .tensor import Tensor, concat, gather_rows, reshape
+from .tensor import Tensor, concat, gather_rows, no_grad, reshape
 
 __all__ = ["ABLATIONS", "DetectionModel"]
 
@@ -120,54 +120,10 @@ class DetectionModel:
             symmetric=self.config.symmetric_neighbors,
         )
 
-    def _author_rows(self, embeddings: Tensor, author_index: int) -> Tensor:
+    def _author_rows(self, embeddings: Tensor, author_indices: list[int]) -> Tensor:
         rows = self.gat.num_heads + (self.gat.residual_proj is not None)
-        picked = gather_rows(embeddings, np.array([author_index]))
-        return reshape(picked, (rows, self.gat.head_dim))
-
-    def tweet_probability(
-        self,
-        seq: TokenSequence,
-        author_index: int | None,
-        embeddings: Tensor | None,
-        *,
-        training: bool = False,
-        rng: np.random.Generator | None = None,
-    ) -> Tensor:
-        """P(offensive) for one tweet, shape [1].
-
-        Passing ``author_index=None`` while the graph side is active skips the
-        author rows entirely, which reproduces the text-only ablation from the
-        full model's parameters (the structural-equivalence escape hatch).
-        """
-        tokens = None
-        if self.encoder is not None:
-            tokens = encode(seq, self.encoder, training=training, rng=rng)
-        author = None
-        if self.gat is not None and author_index is not None:
-            if embeddings is None:
-                raise ValueError("author index given without user embeddings")
-            author = self._author_rows(embeddings, author_index)
-
-        if self.ablation == "no_attention_layer":
-            pooled = []
-            if tokens is not None:
-                pooled.append(tokens.mean(axis=0, keepdims=True))
-            if author is not None:
-                fused, _ = assemble(None, author, self.fusion)
-                pooled.append(fused.mean(axis=0, keepdims=True))
-            x = concat(pooled, axis=1)
-        else:
-            x, num_tokens = assemble(tokens, author, self.fusion)
-            x = add_position_encoding(x, num_tokens)
-            x = fuse_attention(
-                x, self.fusion, training=training, rng=rng,
-                attn_dropout=self.config.attention_dropout,
-            )
-        return classify(
-            x, self.fusion, training=training, rng=rng,
-            hidden_dropout=self.config.hidden_dropout, pooling=self.pooling,
-        )
+        picked = gather_rows(embeddings, np.asarray(author_indices, dtype=np.int64))
+        return reshape(picked, (len(author_indices), rows, self.gat.head_dim))
 
     def forward_batch(
         self,
@@ -178,15 +134,64 @@ class DetectionModel:
         training: bool = False,
         rng: np.random.Generator | None = None,
     ) -> Tensor:
-        """Probabilities for a batch, shape [B]."""
-        probs = [
-            self.tweet_probability(seq, author, embeddings, training=training, rng=rng)
-            for seq, author in zip(seqs, author_indices)
-        ]
-        return concat(probs, axis=0)
+        """Probabilities for a batch, shape [B], from one padded computation.
+
+        Token ids are padded to the batch's longest tweet and masked. An
+        author index of ``None`` for every tweet while the graph side is
+        active skips the author rows entirely, which reproduces the
+        text-only ablation from the full model's parameters (the
+        structural-equivalence escape hatch).
+        """
+        if not seqs:
+            raise ValueError("forward_batch needs at least one tweet")
+        tokens = author = None
+        if self.encoder is not None:
+            lengths = np.array([len(s) for s in seqs])
+            token_mask = np.arange(lengths.max()) < lengths[:, None]
+            ids = np.full(token_mask.shape, Vocab.PAD, dtype=np.int64)
+            ids[token_mask] = np.concatenate([s.token_ids for s in seqs])
+            tokens = encode(ids, self.encoder, mask=token_mask, training=training, rng=rng)
+        if self.gat is not None and any(a is not None for a in author_indices):
+            if None in author_indices:
+                raise ValueError("give an author index for every tweet of the batch or for none")
+            if embeddings is None:
+                raise ValueError("author index given without user embeddings")
+            author = self._author_rows(embeddings, author_indices)
+
+        if self.ablation == "no_attention_layer":
+            pooled = []
+            if tokens is not None:
+                pooled.append(pool_rows(tokens, token_mask))
+            if author is not None:
+                pooled.append(pool_rows(assemble(None, author, self.fusion)[0]))
+            x, mask = concat(pooled, axis=-1), None
+        else:
+            x, _ = assemble(tokens, author, self.fusion)
+            mask = np.ones(x.shape[:2], dtype=bool)
+            if tokens is not None:
+                mask[:, : token_mask.shape[1]] = token_mask
+            x = add_position_encoding(x, lengths if tokens is not None else 0)
+            x = fuse_attention(
+                x, self.fusion, mask=mask, training=training, rng=rng,
+                attn_dropout=self.config.attention_dropout,
+            )
+        return classify(
+            x, self.fusion, mask=mask, training=training, rng=rng,
+            hidden_dropout=self.config.hidden_dropout, pooling=self.pooling,
+        )
 
     def predict(self, seqs: list[TokenSequence], graph: SocialGraph) -> np.ndarray:
-        """Evaluation-mode probabilities as a plain array."""
-        embeddings = self.user_embeddings(graph)
-        authors = [graph.index[s.author_id] if self.gat is not None else None for s in seqs]
-        return self.forward_batch(seqs, authors, embeddings).data.copy()
+        """Evaluation-mode probabilities as a plain array.
+
+        Scores off the tape, in chunks of ``config.batch_size`` tweets, so
+        memory stays flat in the number of tweets.
+        """
+        step = self.config.batch_size
+        with no_grad():
+            embeddings = self.user_embeddings(graph)
+            authors = [graph.index[s.author_id] if self.gat is not None else None for s in seqs]
+            chunks = [
+                self.forward_batch(seqs[i : i + step], authors[i : i + step], embeddings).data
+                for i in range(0, len(seqs), step)
+            ]
+        return np.concatenate(chunks)

@@ -8,22 +8,35 @@ finite-difference gradient checks have headroom.
 Conventions:
   * tensors built from an op require grad iff any parent does; constants
     stay off the tape entirely,
-  * ``backward()`` accumulates one analytic pass into ``.grad``; the caller
-    zeroes grads between steps,
+  * inside ``with no_grad():`` no op is recorded at all: results are plain
+    constants, so scoring keeps no backward closures or inputs alive,
+  * ``backward()`` accumulates one analytic pass into ``.grad`` of the
+    leaves only, the tensors no op produced (parameters and inputs);
+    intermediate gradients are dropped as soon as they have been passed on.
+    The caller zeroes grads between steps,
   * dropout uses inverted scaling, so evaluation mode is the identity.
+
+Batched sequences are ``[B, S, d]`` arrays. Products with a weight matrix
+flatten the leading axes into rows (one ``[B*S, d] @ [d, e]`` product);
+``batched_matmul`` is for products between two batched operands, such as the
+attention scores.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
 __all__ = [
     "Tensor",
     "as_tensor",
+    "no_grad",
     "add",
     "sub",
     "mul",
     "matmul",
+    "batched_matmul",
     "transpose",
     "reshape",
     "concat",
@@ -50,7 +63,7 @@ class Tensor:
     """A numpy array plus gradient bookkeeping.
 
     ``data`` is always a float64 ndarray. ``grad`` starts as ``None`` and is
-    populated (or accumulated into) by ``backward()`` for every tensor with
+    populated (or accumulated into) by ``backward()`` for every leaf with
     ``requires_grad`` reachable from the loss.
     """
 
@@ -82,7 +95,7 @@ class Tensor:
         self.grad = None
 
     def backward(self) -> None:
-        """Populate ``.grad`` for every requires-grad tensor reachable from here.
+        """Populate ``.grad`` for every requires-grad leaf reachable from here.
 
         The loss must be a single element. Repeated calls without zeroing
         accumulate one more analytic pass each time.
@@ -97,8 +110,8 @@ class Tensor:
             grad_out = pending.pop(id(node), None)
             if grad_out is None:
                 continue
-            node.grad = grad_out if node.grad is None else node.grad + grad_out
             if node._backward is None:
+                node.grad = grad_out if node.grad is None else node.grad + grad_out
                 continue
             for parent, grad_in in zip(node._parents, node._backward(grad_out)):
                 if not parent.requires_grad or grad_in is None:
@@ -164,9 +177,26 @@ def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Record no ops inside the block; the previous setting returns on exit.
+
+    The switch is process-wide, not per thread.
+    """
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward
@@ -242,23 +272,44 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul expects 2-D operands, got {a.shape} @ {b.shape}")
+    """``a @ b`` for a weight matrix ``b`` [d, e]; ``a`` is [..., d].
+
+    Leading axes of ``a`` flatten into rows, so the product and both
+    gradients are single 2-D products and the weight gradient sums over rows
+    without a per-sequence ``[B, d, e]`` intermediate.
+    """
+    if a.ndim < 2 or b.ndim != 2:
+        raise ValueError(f"matmul expects [..., d] @ [d, e] operands, got {a.shape} @ {b.shape}")
+    rows = a.data.reshape(-1, a.shape[-1])
+    lead = a.shape[:-1]
 
     def backward(g):
-        return g @ b.data.T, a.data.T @ g
+        g_rows = g.reshape(-1, g.shape[-1])
+        return (g_rows @ b.data.T).reshape(a.shape), rows.T @ g_rows
+
+    return _make((rows @ b.data).reshape(*lead, b.shape[1]), (a, b), backward)
+
+
+def batched_matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Stacked products ``a[i] @ b[i]`` over identical leading axes, e.g. [B, H, S, S] @ [B, H, S, d]."""
+    if a.ndim < 3 or a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
+        raise ValueError(f"batched_matmul expects [..., m, k] @ [..., k, n] operands, got {a.shape} @ {b.shape}")
+
+    def backward(g):
+        return g @ np.swapaxes(b.data, -1, -2), np.swapaxes(a.data, -1, -2) @ g
 
     return _make(a.data @ b.data, (a, b), backward)
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.ndim != 2:
-        raise ValueError(f"transpose expects a 2-D tensor, got {a.shape}")
+def transpose(a: Tensor, axes=None) -> Tensor:
+    """Permute axes as ``np.transpose``; the default reverses them (``.T``)."""
+    axes = tuple(range(a.ndim))[::-1] if axes is None else tuple(axes)
+    inverse = tuple(np.argsort(axes))
 
     def backward(g):
-        return (g.T,)
+        return (g.transpose(inverse),)
 
-    return _make(a.data.T, (a,), backward)
+    return _make(a.data.transpose(axes), (a,), backward)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -393,9 +444,15 @@ def sigmoid(a: Tensor) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Max-shifted softmax along ``axis``; rows sum to 1."""
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+def softmax(a: Tensor, axis: int = -1, mask: np.ndarray | None = None) -> Tensor:
+    """Max-shifted softmax along ``axis``; rows sum to 1.
+
+    ``mask`` is a constant added to the scores before normalizing and
+    broadcast against them: 0 keeps an entry, ``-inf`` gives it probability
+    exactly 0 (key padding). Every row needs at least one kept entry.
+    """
+    scores = a.data if mask is None else a.data + mask
+    shifted = scores - scores.max(axis=axis, keepdims=True)
     ex = np.exp(shifted)
     out_data = ex / ex.sum(axis=axis, keepdims=True)
 

@@ -236,11 +236,26 @@ def _encode_split(split: Split, vocab: Vocab, max_len: int):
     return train, test
 
 
+def _check_split(split: Split) -> None:
+    """Fail before training when the split cannot produce a test-F1 epoch."""
+    if not split.train or not split.test:
+        raise ValueError(
+            f"the split needs tweets on both sides: {len(split.train)} train, {len(split.test)} test"
+        )
+    offensive = sum(t.label == 1 for t in split.test)
+    if offensive in (0, len(split.test)):
+        raise ValueError(
+            "the test split needs both classes to score F1 and AUC: "
+            f"{len(split.test) - offensive} non-offensive, {offensive} offensive"
+        )
+
+
 def fit(config: TrainConfig, corpus: Corpus) -> TrainedRun:
     """Train per the full protocol and keep the best-F1 epoch's parameters."""
     config.validate()
     corpus = preprocess_corpus(corpus)
     split = split_corpus(corpus, config.train_fraction, _stream(config.seed, 0), config.stratify_split)
+    _check_split(split)
     vocab = build_vocab(split.train, config.vocab_min_freq, config.vocab_max_size)
     graph = build_graph(corpus)
     graph = with_node_features(graph, split.train, config.graph_variant, config.init_strategy, vocab)

@@ -1,0 +1,45 @@
+"""What the benchmark in perfbench/ relies on in the program.
+
+perfbench wraps program entry points by module attribute and reads GAT
+parameters by name. A refactor that moves one of them would leave the
+benchmark timing nothing or failing its checks, so the names are pinned here.
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from offgraph.model import DetectionModel
+from offgraph.training import TrainConfig
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
+
+PATCHES = workloads.E2E_PATCHES + workloads.LAYER_PATCHES
+
+
+@pytest.mark.parametrize(
+    "owner, attr",
+    [(owner, attr) for owner, attr, _ in PATCHES],
+    ids=[f"{owner.__name__}.{attr}" for owner, attr, _ in PATCHES],
+)
+def test_traced_entry_points_are_own_attributes(owner, attr):
+    # Tracer.patch reads owner.__dict__[attr], so the attribute must live on
+    # the owner itself, not on a base class or another module
+    assert attr in owner.__dict__, f"{owner.__name__}.{attr}"
+    assert callable(owner.__dict__[attr])
+
+
+@pytest.mark.parametrize("ablation", ["full", "single_head_gat"])
+def test_gat_parameter_names_read_by_the_fit_check(ablation):
+    config = TrainConfig(gat_hidden=8, gat_heads=2, d_model=8, encoder_heads=2, fusion_heads=2, ablation=ablation)
+    model = DetectionModel(config, 10, 2, np.random.default_rng(0))
+    params = model.named_parameters()
+    heads = model.gat.num_heads
+    for k in range(heads):
+        assert params[f"gat.head{k}.proj"].shape == (2, model.gat.head_dim)
+        assert params[f"gat.head{k}.attn"].shape == (2 * model.gat.head_dim, 1)
+    assert f"gat.head{heads}.proj" not in params
+    assert params["gat.residual.proj"].shape == (2, model.gat.head_dim)

@@ -37,6 +37,20 @@ def workdir(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def trained(workdir):
+    """Run ``train`` once; returns the result and checkpoint paths the eval tests read."""
+    result_path = workdir / "result.json"
+    ckpt_path = workdir / "ckpt.json"
+    rc = main([
+        "train", "--config", str(workdir / "run.cfg"),
+        "--tweets", str(workdir / "tweets.jsonl"), "--edges", str(workdir / "edges.tsv"),
+        "--out", str(result_path), "--checkpoint", str(ckpt_path),
+    ])
+    assert rc == 0
+    return result_path, ckpt_path
+
+
 def test_gen_synthetic_files(workdir):
     lines = (workdir / "tweets.jsonl").read_text(encoding="utf-8").strip().splitlines()
     assert len(lines) == 200
@@ -78,15 +92,8 @@ def test_build_graph_command(workdir):
     assert len(payload["features"]) == len(payload["nodes"])
 
 
-def test_train_writes_result_and_checkpoint(workdir):
-    result_path = workdir / "result.json"
-    ckpt_path = workdir / "ckpt.json"
-    rc = main([
-        "train", "--config", str(workdir / "run.cfg"),
-        "--tweets", str(workdir / "tweets.jsonl"), "--edges", str(workdir / "edges.tsv"),
-        "--out", str(result_path), "--checkpoint", str(ckpt_path),
-    ])
-    assert rc == 0
+def test_train_writes_result_and_checkpoint(trained):
+    result_path, ckpt_path = trained
     result = json.loads(result_path.read_text())
     assert set(result) == {"config", "seed", "epochs_run", "best_epoch", "train_loss", "epoch_f1", "best_metrics"}
     assert result["config"]["max_epochs"] == 2
@@ -105,10 +112,10 @@ def test_train_reproducible_bytes(workdir):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_eval_command(workdir):
+def test_eval_command(workdir, trained):
     out = workdir / "eval.json"
     rc = main([
-        "eval", "--checkpoint", str(workdir / "ckpt.json"),
+        "eval", "--checkpoint", str(trained[1]),
         "--tweets", str(workdir / "tweets.jsonl"), "--out", str(out),
     ])
     assert rc == 0
@@ -116,7 +123,7 @@ def test_eval_command(workdir):
     assert set(report) == {"auc", "accuracy", "precision", "recall", "f1", "confusion"}
 
 
-def test_eval_reads_the_emoji_table_once(workdir, monkeypatch):
+def test_eval_reads_the_emoji_table_once(workdir, trained, monkeypatch):
     reads = []
     from_tsv = EmojiTable.from_tsv.__func__
 
@@ -126,18 +133,18 @@ def test_eval_reads_the_emoji_table_once(workdir, monkeypatch):
 
     monkeypatch.setattr(EmojiTable, "from_tsv", classmethod(counted))
     rc = main([
-        "eval", "--checkpoint", str(workdir / "ckpt.json"),
+        "eval", "--checkpoint", str(trained[1]),
         "--tweets", str(workdir / "tweets.jsonl"), "--out", str(workdir / "eval_once.json"),
     ])
     assert rc == 0
     assert len(reads) == 1
 
 
-def test_eval_rejects_unknown_user(workdir, tmp_path):
+def test_eval_rejects_unknown_user(trained, tmp_path):
     rogue = tmp_path / "rogue.jsonl"
     rogue.write_text(json.dumps({"tweet_id": "x", "user_id": "stranger", "text": "hi", "label": 0}) + "\n")
     with pytest.raises(SystemExit, match="stranger"):
-        main(["eval", "--checkpoint", str(workdir / "ckpt.json"), "--tweets", str(rogue)])
+        main(["eval", "--checkpoint", str(trained[1]), "--tweets", str(rogue)])
 
 
 def test_ablate_single_variant(workdir):
@@ -164,7 +171,7 @@ def test_sweep_command(workdir):
     assert len(lines) == 7
 
 
-def test_cli_error_paths(workdir, tmp_path, capsys):
+def test_cli_error_paths(trained, tmp_path, capsys):
     rc = main(["preprocess", "--in", str(tmp_path / "missing.jsonl"), "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
@@ -174,7 +181,7 @@ def test_cli_error_paths(workdir, tmp_path, capsys):
     bad.write_text(good + "\n\n{not json\n")
     for argv in (
         ["preprocess", "--in", str(bad), "--out", str(tmp_path / "o")],
-        ["eval", "--checkpoint", str(workdir / "ckpt.json"), "--tweets", str(bad)],
+        ["eval", "--checkpoint", str(trained[1]), "--tweets", str(bad)],
     ):
         assert main(argv) == 1
         assert f"{bad}:3: bad tweet record" in capsys.readouterr().err

@@ -52,6 +52,27 @@ def test_edge_arrays_symmetric_option():
     assert (1, 0) in set(zip(src.tolist(), dst.tolist()))
 
 
+def test_edge_arrays_are_built_once_per_flag_and_read_only():
+    from dataclasses import replace
+
+    from offgraph.gat import GatParams, gat_forward
+    from offgraph.tensor import Tensor
+
+    corpus = generate_corpus(300, 40, seed=1)
+    g = with_node_features(build_graph(corpus), corpus.tweets, "soft", "nonoff")
+    params = GatParams.init(2, 2, 4, np.random.default_rng(0))
+    for symmetric in (False, True):
+        first = g.edge_arrays(symmetric=symmetric)
+        again = g.edge_arrays(symmetric=symmetric)
+        assert again[0] is first[0] and again[1] is first[1]
+        with pytest.raises(ValueError, match="read-only"):
+            first[0][0] = 1
+        warm = gat_forward(Tensor(g.features), g, params, symmetric=symmetric).data
+        cold = gat_forward(Tensor(g.features), replace(g), params, symmetric=symmetric).data  # nothing cached
+        assert np.array_equal(warm, cold)
+    assert len(g.edge_arrays(symmetric=True)[0]) > len(g.edge_arrays()[0])
+
+
 # -- feature initialization ----------------------------------------------------
 
 

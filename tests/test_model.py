@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
-from offgraph.corpus import build_vocab, encode, split_corpus
+from offgraph.corpus import TokenSequence, build_vocab, encode, split_corpus
+from offgraph.encoder import encode as encode_tokens
+from offgraph.fusion import add_position_encoding, assemble, classify, fuse_attention
 from offgraph.graph import build_graph, with_node_features
 from offgraph.model import ABLATIONS, DetectionModel
 from offgraph.synthetic import generate_corpus
+from offgraph.tensor import concat, gather_rows, no_grad, reshape
 from offgraph.training import TrainConfig
 
 
@@ -120,7 +123,7 @@ def test_no_gat_structurally_equals_full_without_user_rows(setting):
     nog.load_state_arrays(state)
 
     want = nog.predict(seqs[:3], graph)
-    got = np.array([full.tweet_probability(s, None, None).item() for s in seqs[:3]])
+    got = full.forward_batch(seqs[:3], [None] * 3, None).data
     assert np.array_equal(got, want)
 
 
@@ -134,3 +137,70 @@ def test_state_roundtrip_and_validation(setting):
     state.pop("fusion.clf_b")
     with pytest.raises(ValueError, match="clf_b"):
         other.load_state_arrays(state)
+
+
+# -- the batched forward against a per-tweet reference ----------------------------
+
+
+def _tweet_probability(model, seq, author_index, embeddings):
+    """P(offensive) for one tweet, computed alone: the unpadded, unmasked
+    per-tweet path the batched forward replaced, kept as its reference."""
+    tokens = None if model.encoder is None else encode_tokens(seq, model.encoder)
+    author = None
+    if model.gat is not None:
+        rows = model.gat.num_heads + (model.gat.residual_proj is not None)
+        author = reshape(gather_rows(embeddings, np.array([author_index])), (rows, model.gat.head_dim))
+    if model.ablation == "no_attention_layer":
+        pooled = []
+        if tokens is not None:
+            pooled.append(tokens.mean(axis=0, keepdims=True))
+        if author is not None:
+            pooled.append(assemble(None, author, model.fusion)[0].mean(axis=0, keepdims=True))
+        x = concat(pooled, axis=1)
+    else:
+        x, num_tokens = assemble(tokens, author, model.fusion)
+        x = fuse_attention(add_position_encoding(x, num_tokens), model.fusion)
+    return classify(x, model.fusion, pooling=model.pooling).item()
+
+
+@pytest.mark.parametrize("pooling", ["mean", "cls"])
+@pytest.mark.parametrize("ablation", ABLATIONS)
+def test_batched_forward_matches_per_tweet_reference(setting, ablation, pooling):
+    _, vocab, graph, seqs = setting
+    model = DetectionModel(_config(ablation=ablation, pooling=pooling), len(vocab), 2, np.random.default_rng(5))
+    author = seqs[0].author_id
+    one_token = TokenSequence(np.array([vocab.CLS]), author, 0, "one")
+    longest = TokenSequence(np.arange(24) % len(vocab), author, 1, "long")
+    batch = [seqs[0], one_token, longest, *seqs[1:]]
+    got = model.predict(batch, graph)
+    embeddings = model.user_embeddings(graph)
+    want = np.array([_tweet_probability(model, s, graph.index[s.author_id], embeddings) for s in batch])
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_predict_scores_off_the_tape_bit_identically(setting):
+    _, _, graph, seqs = setting
+    model, _ = _model(setting)
+    authors = [graph.index[s.author_id] for s in seqs]
+    on_tape = model.forward_batch(seqs, authors, model.user_embeddings(graph))
+    assert on_tape.requires_grad
+    with no_grad():
+        off_tape = model.forward_batch(seqs, authors, model.user_embeddings(graph))
+    assert not off_tape.requires_grad
+    assert np.array_equal(off_tape.data, on_tape.data)
+    assert np.array_equal(model.predict(seqs, graph), on_tape.data)
+
+
+def test_predict_chunks_by_batch_size(setting):
+    _, _, graph, seqs = setting
+    model, _ = _model(setting)
+    whole = model.predict(seqs, graph)
+    model.config.batch_size = 4  # two chunks: 4 tweets, then 2
+    assert np.max(np.abs(model.predict(seqs, graph) - whole)) <= 1e-12
+
+
+def test_forward_batch_rejects_mixed_author_indices(setting):
+    _, _, graph, seqs = setting
+    model, _ = _model(setting)
+    with pytest.raises(ValueError, match="every tweet"):
+        model.forward_batch(seqs[:2], [0, None], model.user_embeddings(graph))

@@ -48,6 +48,43 @@ def test_repeated_backward_accumulates():
     assert np.allclose(x.grad, 2.0 * first)
 
 
+def test_backward_keeps_gradients_on_leaves_only():
+    rng = np.random.default_rng(9)
+    a = _rand(rng, 3, 4)
+    b = _rand(rng, 4, 2)
+    kept = {}
+
+    def fn():
+        kept["hidden"] = T.relu(a @ b)
+        kept["probs"] = T.softmax(kept["hidden"], axis=-1)
+        return (kept["probs"] * kept["hidden"]).mean()
+
+    assert_gradients_match(fn, [a, b])
+    fn().backward()
+    assert kept["hidden"].requires_grad and kept["hidden"].grad is None
+    assert kept["probs"].requires_grad and kept["probs"].grad is None
+
+
+def test_no_grad_records_nothing():
+    w = Tensor(np.ones((2, 2)), requires_grad=True)
+    with T.no_grad():
+        y = T.softmax(T.relu(w @ w) + w, axis=-1).sum()
+    assert not y.requires_grad
+    assert y._parents == () and y._backward is None
+    assert (w @ w).requires_grad  # recording resumes after the block
+
+
+def test_no_grad_restores_the_flag_after_an_exception():
+    w = Tensor(np.ones(2), requires_grad=True)
+    with pytest.raises(RuntimeError):
+        with T.no_grad():
+            with T.no_grad():
+                pass
+            assert not (w * w).requires_grad  # still off after a nested block
+            raise RuntimeError("boom")
+    assert (w * w).requires_grad
+
+
 def test_gradients_not_stored_without_requires_grad():
     x = Tensor([1.0, 2.0])
     w = Tensor([2.0, 3.0], requires_grad=True)
@@ -78,6 +115,9 @@ def test_every_primitive_matches_finite_differences():
     b = Tensor(rng.uniform(-0.5, 0.5, 5), requires_grad=True)
     pos = Tensor(rng.uniform(0.2, 2.0, (4, 5)), requires_grad=True)
     idx = np.array([0, 2, 2, 3])
+    stack = _rand(rng, 2, 3, 5)
+    weights = Tensor(rng.uniform(-1.0, 1.0, (3, 2, 5)))
+    key_mask = np.where(np.arange(5) < np.array([[5], [3], [1], [4]]), 0.0, -np.inf)
     cases = {
         "add": (lambda: (x + pos).sum(), [x, pos]),
         "sub": (lambda: (x - pos).mean(), [x, pos]),
@@ -100,6 +140,10 @@ def test_every_primitive_matches_finite_differences():
         "softmax": (lambda: (T.softmax(x, axis=-1) * pos).sum(), [x, pos]),
         "layer_norm": (lambda: (T.layer_norm(x, g, b) * pos).sum(), [x, g, b]),
         "clip": (lambda: T.clip(pos, 0.3, 1.9).sum(), [pos]),
+        "matmul_batched_rows": (lambda: (T.reshape(x, (2, 2, 5)) @ w).mean(), [x, w]),
+        "batched_matmul": (lambda: T.batched_matmul(stack, T.reshape(pos, (2, 5, 2))).sum(), [stack, pos]),
+        "transpose_axes": (lambda: (T.transpose(stack, (1, 0, 2)) * weights).sum(), [stack]),
+        "masked_softmax": (lambda: (T.softmax(x, axis=-1, mask=key_mask) * pos).sum(), [x, pos]),
     }
     for name, (fn, tensors) in cases.items():
         try:

@@ -169,6 +169,33 @@ def test_vocab_built_from_training_side_only(corpus):
     assert not test_only & set(run.vocab.index)
 
 
+@pytest.fixture
+def no_model(monkeypatch):
+    """Fail the test if fit gets as far as building the model."""
+    import offgraph.training
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("fit built the model before checking its split")
+
+    monkeypatch.setattr(offgraph.training, "DetectionModel", refuse)
+
+
+def test_fit_rejects_an_empty_test_split_early(no_model):
+    tiny = generate_corpus(200, 25, seed=5)
+    three = Corpus(tweets=tiny.tweets[:3], edges=list(tiny.edges), users=tiny.users)
+    with pytest.raises(ValueError, match="3 train, 0 test"):
+        fit(_tiny_config(), three)
+
+
+def test_fit_rejects_a_single_class_test_split_early(corpus, no_model):
+    benign = Corpus(
+        tweets=[RawTweet(t.tweet_id, t.user_id, t.text, 0) for t in corpus.tweets],
+        edges=list(corpus.edges),
+    )
+    with pytest.raises(ValueError, match="48 non-offensive, 0 offensive"):
+        fit(_tiny_config(), benign)
+
+
 def test_divergence_aborts(corpus):
     # a step this large overflows float64 activations into inf/nan
     cfg = _tiny_config(lr_rest=1e160, lr_gat=1e160, max_epochs=3, early_stop_patience=3)
