@@ -27,7 +27,6 @@ def multi_head_attention(
     training: bool = False,
     rng: np.random.Generator | None = None,
     attn_dropout: float = 0.0,
-    probs_sink: list | None = None,
 ) -> Tensor:
     """Self-attention over the rows of ``x``; output has the same shape.
 
@@ -39,10 +38,6 @@ def multi_head_attention(
     row, and the concatenated head outputs pass through the output
     projection. Dropout is applied to the attention probabilities in
     training mode only.
-
-    ``probs_sink``, when given, collects each sequence's per-head
-    probability matrix over its real rows (before dropout); the tests use it
-    to audit row normalization.
     """
     single = x.ndim == 2
     if single:
@@ -61,13 +56,7 @@ def multi_head_attention(
     v = heads(wv, bv, (0, 2, 1, 3))
     scores = batched_matmul(q, k_t) * Tensor(1.0 / math.sqrt(d_k))
     key_mask = None if mask is None else np.where(mask, 0.0, -np.inf)[:, None, None, :]  # [B, 1, 1, S]
-    probs = softmax(scores, axis=-1, mask=key_mask)
-    if probs_sink is not None:
-        valid = np.ones((batch, length), dtype=bool) if mask is None else mask
-        for b in range(batch):
-            rows = np.ix_(valid[b], valid[b])
-            probs_sink.extend(Tensor(probs.data[b, h][rows]) for h in range(num_heads))
-    probs = dropout(probs, attn_dropout, training, rng)
+    probs = dropout(softmax(scores, axis=-1, mask=key_mask), attn_dropout, training, rng)
 
     mixed = transpose(batched_matmul(probs, v), (0, 2, 1, 3))  # [B, S, H, d_k]
     out = matmul(reshape(mixed, (batch, length, d_model)), wo)

@@ -97,6 +97,8 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     checkpoint = load_checkpoint(args.checkpoint)
     tweets = _load_preprocessed(args.tweets, EmojiTable.default())
+    if not tweets:
+        raise ValueError(f"{args.tweets} holds no tweets")
     unknown = sorted({t.user_id for t in tweets} - set(checkpoint.graph.index))
     if unknown:
         raise SystemExit(f"users not in the checkpoint graph: {', '.join(unknown[:5])}")

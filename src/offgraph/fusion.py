@@ -135,20 +135,18 @@ def assemble(
     token_embeddings: Tensor | None,
     author_rows: Tensor | None,
     params: FusionParams,
-) -> tuple[Tensor, int]:
+) -> Tensor:
     """Stack token rows, adapted head rows, and the adapted residual row.
 
     ``author_rows`` is the author's graph embedding reshaped to one row per
     head (the residual row last when present), [R, head_dim] or
-    [B, R, head_dim]. Returns the fused sequence and the number of token
-    slots in front of the user rows (M, or the padded S of a batch). Either
-    side may be absent (the corresponding ablations drop it), but not both.
+    [B, R, head_dim]. The token rows (M, or the padded S of a batch) come
+    first. Either side may be absent (the corresponding ablations drop it),
+    but not both.
     """
     parts: list[Tensor] = []
-    num_tokens = 0
     if token_embeddings is not None:
         parts.append(token_embeddings)
-        num_tokens = token_embeddings.shape[-2]
     if author_rows is not None:
         if params.head_adapter is None:
             raise ValueError("fusion has no adapters but received author rows")
@@ -160,7 +158,7 @@ def assemble(
             parts.append(matmul(author_rows, params.head_adapter))
     if not parts:
         raise ValueError("nothing to fuse: both token and user rows are absent")
-    return concat(parts, axis=-2), num_tokens
+    return concat(parts, axis=-2)
 
 
 def add_position_encoding(x: Tensor, num_tokens) -> Tensor:
@@ -184,13 +182,12 @@ def fuse_attention(
     training: bool = False,
     rng: np.random.Generator | None = None,
     attn_dropout: float = 0.5,
-    probs_sink: list | None = None,
 ) -> Tensor:
     """Layer norm, multi-head attention, residual link, second layer norm."""
     normed = layer_norm(x, params.ln1_gain, params.ln1_bias)
     attended = multi_head_attention(
         normed, params.wq, params.wk, params.wv, params.wo, params.num_heads, mask=mask,
-        training=training, rng=rng, attn_dropout=attn_dropout, probs_sink=probs_sink,
+        training=training, rng=rng, attn_dropout=attn_dropout,
     )
     return layer_norm(x + attended, params.ln2_gain, params.ln2_bias)
 

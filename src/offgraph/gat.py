@@ -88,12 +88,11 @@ def attention_coefficients(
     edge_dst: np.ndarray,
     attn_vec: Tensor,
     num_nodes: int,
-    slope: float = LEAKY_SLOPE,
 ) -> Tensor:
     """Normalized attention weights, one per edge, summing to 1 per source node."""
     z_src = gather_rows(projected, edge_src)
     z_dst = gather_rows(projected, edge_dst)
-    scores = leaky_relu(matmul(concat([z_src, z_dst], axis=1), attn_vec), slope)
+    scores = leaky_relu(matmul(concat([z_src, z_dst], axis=1), attn_vec), LEAKY_SLOPE)
     return segment_softmax(reshape(scores, (len(edge_src),)), edge_src, num_nodes)
 
 
@@ -105,14 +104,11 @@ def gat_forward(
     training: bool = False,
     rng: np.random.Generator | None = None,
     attn_dropout: float = 0.5,
-    activation: str = "elu",
     symmetric: bool = False,
 ) -> Tensor:
     """Per-node embeddings [n, (K + 1) * head_dim] (K * head_dim without residual)."""
     if node_features.shape[0] != graph.num_nodes:
         raise ValueError("feature rows must match graph nodes")
-    if activation not in ("elu", "identity"):
-        raise ValueError(f"unknown activation {activation!r}")
     edge_src, edge_dst = graph.edge_arrays(symmetric=symmetric)
     num_edges = len(edge_src)
     parts = []
@@ -121,8 +117,7 @@ def gat_forward(
         alpha = attention_coefficients(z, edge_src, edge_dst, attn, graph.num_nodes)
         alpha = dropout(alpha, attn_dropout, training, rng)
         weighted = mul(reshape(alpha, (num_edges, 1)), gather_rows(z, edge_dst))
-        summed = segment_sum(weighted, edge_src, graph.num_nodes)
-        parts.append(elu(summed) if activation == "elu" else summed)
+        parts.append(elu(segment_sum(weighted, edge_src, graph.num_nodes)))
     if params.residual_proj is not None:
         parts.append(matmul(node_features, params.residual_proj))
     return concat(parts, axis=1)

@@ -120,15 +120,15 @@ class DetectionModel:
             symmetric=self.config.symmetric_neighbors,
         )
 
-    def _author_rows(self, embeddings: Tensor, author_indices: list[int]) -> Tensor:
+    def _author_rows(self, embeddings: Tensor, graph: SocialGraph, seqs: list[TokenSequence]) -> Tensor:
         rows = self.gat.num_heads + (self.gat.residual_proj is not None)
-        picked = gather_rows(embeddings, np.asarray(author_indices, dtype=np.int64))
-        return reshape(picked, (len(author_indices), rows, self.gat.head_dim))
+        authors = np.array([graph.index[s.author_id] for s in seqs], dtype=np.int64)
+        return reshape(gather_rows(embeddings, authors), (len(seqs), rows, self.gat.head_dim))
 
     def forward_batch(
         self,
         seqs: list[TokenSequence],
-        author_indices: list[int | None],
+        graph: SocialGraph,
         embeddings: Tensor | None,
         *,
         training: bool = False,
@@ -136,11 +136,11 @@ class DetectionModel:
     ) -> Tensor:
         """Probabilities for a batch, shape [B], from one padded computation.
 
-        Token ids are padded to the batch's longest tweet and masked. An
-        author index of ``None`` for every tweet while the graph side is
-        active skips the author rows entirely, which reproduces the
-        text-only ablation from the full model's parameters (the
-        structural-equivalence escape hatch).
+        Token ids are padded to the batch's longest tweet and masked. Each
+        tweet's author row of ``embeddings`` (from ``user_embeddings``) is
+        found through ``graph.index``. ``embeddings=None`` skips the author
+        rows entirely, which reproduces the text-only ablation from the full
+        model's parameters (the structural-equivalence escape hatch).
         """
         if not seqs:
             raise ValueError("forward_batch needs at least one tweet")
@@ -151,22 +151,18 @@ class DetectionModel:
             ids = np.full(token_mask.shape, Vocab.PAD, dtype=np.int64)
             ids[token_mask] = np.concatenate([s.token_ids for s in seqs])
             tokens = encode(ids, self.encoder, mask=token_mask, training=training, rng=rng)
-        if self.gat is not None and any(a is not None for a in author_indices):
-            if None in author_indices:
-                raise ValueError("give an author index for every tweet of the batch or for none")
-            if embeddings is None:
-                raise ValueError("author index given without user embeddings")
-            author = self._author_rows(embeddings, author_indices)
+        if embeddings is not None:
+            author = self._author_rows(embeddings, graph, seqs)
 
         if self.ablation == "no_attention_layer":
             pooled = []
             if tokens is not None:
                 pooled.append(pool_rows(tokens, token_mask))
             if author is not None:
-                pooled.append(pool_rows(assemble(None, author, self.fusion)[0]))
+                pooled.append(pool_rows(assemble(None, author, self.fusion)))
             x, mask = concat(pooled, axis=-1), None
         else:
-            x, _ = assemble(tokens, author, self.fusion)
+            x = assemble(tokens, author, self.fusion)
             mask = np.ones(x.shape[:2], dtype=bool)
             if tokens is not None:
                 mask[:, : token_mask.shape[1]] = token_mask
@@ -189,9 +185,8 @@ class DetectionModel:
         step = self.config.batch_size
         with no_grad():
             embeddings = self.user_embeddings(graph)
-            authors = [graph.index[s.author_id] if self.gat is not None else None for s in seqs]
             chunks = [
-                self.forward_batch(seqs[i : i + step], authors[i : i + step], embeddings).data
+                self.forward_batch(seqs[i : i + step], graph, embeddings).data
                 for i in range(0, len(seqs), step)
             ]
         return np.concatenate(chunks)

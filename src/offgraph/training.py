@@ -110,6 +110,11 @@ class TrainConfig:
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("attention_dropout", "hidden_dropout"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if self.d_model % self.fusion_heads:
+            raise ValueError(f"fusion_heads {self.fusion_heads} must divide d_model {self.d_model}")
         if self.early_stop_patience > self.max_epochs:
             raise ValueError("early_stop_patience cannot exceed max_epochs")
         choices = (
@@ -263,7 +268,6 @@ def fit(config: TrainConfig, corpus: Corpus) -> TrainedRun:
 
     model = DetectionModel(config, len(vocab), _feature_dim(config.graph_variant, vocab), _stream(config.seed, 1))
     train_seqs, test_seqs = _encode_split(split, vocab, config.max_len)
-    authors_known = model.gat is not None
     focal = FocalParams(config.focal_alpha, config.focal_gamma)
 
     gat_group, rest_group = model.parameter_groups()
@@ -286,8 +290,7 @@ def fit(config: TrainConfig, corpus: Corpus) -> TrainedRun:
         for batch in batches(train_seqs, config.batch_size, shuffle_rng, shuffle=True):
             zero_grads(all_params)
             embeddings = model.user_embeddings(graph, training=True, rng=dropout_rng)
-            author_idx = [graph.index[s.author_id] if authors_known else None for s in batch]
-            probs = model.forward_batch(batch, author_idx, embeddings, training=True, rng=dropout_rng)
+            probs = model.forward_batch(batch, graph, embeddings, training=True, rng=dropout_rng)
             loss = focal_loss_tensor(probs, [s.label for s in batch], focal)
             value = loss.item()
             if not np.isfinite(value):

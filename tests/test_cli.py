@@ -185,3 +185,10 @@ def test_cli_error_paths(trained, tmp_path, capsys):
     ):
         assert main(argv) == 1
         assert f"{bad}:3: bad tweet record" in capsys.readouterr().err
+
+
+def test_eval_rejects_empty_tweets_file(trained, tmp_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    assert main(["eval", "--checkpoint", str(trained[1]), "--tweets", str(empty)]) == 1
+    assert f"error: {empty} holds no tweets" in capsys.readouterr().err

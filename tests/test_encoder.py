@@ -48,14 +48,13 @@ def test_id_out_of_range_rejected(params):
         encode(np.zeros(17, dtype=int), params)
 
 
-def test_block_attention_rows_sum_to_one():
+def test_block_attention_rows_sum_to_one(attention_probs):
     rng = np.random.default_rng(1)
     block = EncoderBlockParams.init(8, 16, rng)
-    sink = []
-    self_attention_block(Tensor(rng.normal(size=(5, 8))), block, 2, probs_sink=sink)
-    assert len(sink) == 2
-    for probs in sink:
-        assert np.max(np.abs(probs.data.sum(axis=-1) - 1.0)) < 1e-9
+    self_attention_block(Tensor(rng.normal(size=(5, 8))), block, 2)
+    assert len(attention_probs) == 2
+    for probs in attention_probs:
+        assert np.max(np.abs(probs.sum(axis=-1) - 1.0)) < 1e-9
 
 
 def test_zeroed_output_projection_leaves_ffn_path():
@@ -63,7 +62,7 @@ def test_zeroed_output_projection_leaves_ffn_path():
     block = EncoderBlockParams.init(8, 16, rng)
     block.wo.data[...] = 0.0
     x = rng.normal(size=(4, 8))
-    out = self_attention_block(Tensor(x), block, 2, pre_norm=True).data
+    out = self_attention_block(Tensor(x), block, 2).data
     # with the attention path muted, the block is x + FFN(LN(x)) exactly
     from offgraph.tensor import layer_norm, matmul, relu
 
@@ -100,16 +99,8 @@ def test_single_block_matches_hand_rolled_oracle():
     h2 = ln(mid, block.ln2_gain.data, block.ln2_bias.data)
     want = mid + (np.maximum(h2 @ block.ffn_w1.data + block.ffn_b1.data, 0.0) @ block.ffn_w2.data + block.ffn_b2.data)
 
-    got = self_attention_block(Tensor(x), block, 2, pre_norm=True).data
+    got = self_attention_block(Tensor(x), block, 2).data
     assert np.max(np.abs(got - want)) < 1e-10
-
-
-def test_post_norm_layout_differs(params):
-    ids = np.array([1, 2, 3])
-    pre = encode(ids, params).data
-    params.pre_norm = False
-    post = encode(ids, params).data
-    assert not np.allclose(pre, post)
 
 
 def test_gradient_reaches_every_parameter(params):

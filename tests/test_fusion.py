@@ -30,25 +30,25 @@ def _author(rng, rows=3, head_dim=4):
 def test_assemble_length_tokens_plus_heads_plus_residual(params):
     rng = np.random.default_rng(1)
     tokens = Tensor(rng.normal(size=(5, 8)))
-    fused, num_tokens = assemble(tokens, _author(rng, rows=9), params)
+    fused = assemble(tokens, _author(rng, rows=9), params)
     assert fused.shape == (5 + 8 + 1, 8)
-    assert num_tokens == 5
+    assert np.array_equal(fused.data[:5], tokens.data)  # the 5 token slots come first
 
 
 def test_assemble_same_author_rows_for_two_tweets(params):
     rng = np.random.default_rng(2)
     author = _author(rng)
-    a, _ = assemble(Tensor(rng.normal(size=(4, 8))), author, params)
-    b, _ = assemble(Tensor(rng.normal(size=(2, 8))), author, params)
+    a = assemble(Tensor(rng.normal(size=(4, 8))), author, params)
+    b = assemble(Tensor(rng.normal(size=(2, 8))), author, params)
     assert np.array_equal(a.data[4:], b.data[2:])
 
 
 def test_assemble_tokens_only_for_no_gat_path():
     params = FusionParams.init(d_model=8, d_ff=16, rng=np.random.default_rng(0), num_heads=2)
     tokens = Tensor(np.random.default_rng(3).normal(size=(6, 8)))
-    fused, num_tokens = assemble(tokens, None, params)
+    fused = assemble(tokens, None, params)
     assert fused.shape == (6, 8)
-    assert num_tokens == 6
+    assert np.array_equal(fused.data, tokens.data)  # all 6 rows are token slots
     with pytest.raises(ValueError):
         assemble(None, Tensor(np.zeros((3, 4))), params)
 
@@ -73,29 +73,29 @@ def test_sinusoid_hand_value():
 
 def test_user_rows_share_one_encoding(params):
     rng = np.random.default_rng(4)
-    fused, num_tokens = assemble(Tensor(np.zeros((5, 8))), Tensor(np.zeros((9, 4))), params)
-    with_pe = add_position_encoding(fused, num_tokens)
+    fused = assemble(Tensor(np.zeros((5, 8))), Tensor(np.zeros((9, 4))), params)
+    with_pe = add_position_encoding(fused, 5)
     user_rows = with_pe.data[5:]
     assert np.all(user_rows == user_rows[0])
     assert np.array_equal(user_rows[0] - fused.data[5], sinusoidal_encoding([5], 8)[0])
 
 
 def test_token_rows_get_distinct_encodings(params):
-    fused, num_tokens = assemble(Tensor(np.zeros((4, 8))), Tensor(np.zeros((9, 4))), params)
-    with_pe = add_position_encoding(fused, num_tokens).data
+    fused = assemble(Tensor(np.zeros((4, 8))), Tensor(np.zeros((9, 4))), params)
+    with_pe = add_position_encoding(fused, 4).data
     assert not np.array_equal(with_pe[0], with_pe[1])
 
 
 # -- fused attention ----------------------------------------------------------------
 
 
-def test_single_row_attention_is_identity_weight(params):
+def test_single_row_attention_is_identity_weight(params, attention_probs):
     rng = np.random.default_rng(5)
     x = Tensor(rng.normal(size=(1, 8)))
-    sink = []
-    out = fuse_attention(x, params, probs_sink=sink)
-    for probs in sink:
-        assert probs.data.tolist() == [[1.0]]
+    out = fuse_attention(x, params)
+    assert len(attention_probs) == 2  # two heads, one call
+    for probs in attention_probs:
+        assert probs.tolist() == [[1.0]]
     normed = layer_norm(x, params.ln1_gain, params.ln1_bias)
     heads = []
     for h in range(2):
@@ -106,12 +106,12 @@ def test_single_row_attention_is_identity_weight(params):
     assert np.allclose(out.data, want, atol=1e-12)
 
 
-def test_attention_probability_rows_sum_to_one(params):
+def test_attention_probability_rows_sum_to_one(params, attention_probs):
     rng = np.random.default_rng(6)
-    sink = []
-    fuse_attention(Tensor(rng.normal(size=(7, 8))), params, probs_sink=sink)
-    for probs in sink:
-        assert np.max(np.abs(probs.data.sum(axis=-1) - 1.0)) < 1e-9
+    fuse_attention(Tensor(rng.normal(size=(7, 8))), params)
+    assert len(attention_probs) == 2  # two heads, one call
+    for probs in attention_probs:
+        assert np.max(np.abs(probs.sum(axis=-1) - 1.0)) < 1e-9
 
 
 def test_three_row_single_head_matches_dense_oracle():
@@ -143,17 +143,16 @@ def test_user_head_rows_exchangeable_when_equal(params):
     author_b = Tensor(author_a.data[[1, 0, 2]])  # swap the two equal head rows
 
     def run(author):
-        fused, m = assemble(tokens, author, params)
-        x = add_position_encoding(fused, m)
+        x = add_position_encoding(assemble(tokens, author, params), tokens.shape[0])
         return classify(fuse_attention(x, params), params).item()
 
     assert run(author_a) == run(author_b)
     # but token order matters because of the position encodings
     swapped = Tensor(tokens.data[[1, 0, 2]])
-    fused, m = assemble(swapped, author_a, params)
-    swapped_out = classify(fuse_attention(add_position_encoding(fused, m), params), params).item()
-    fused, m = assemble(tokens, author_a, params)
-    base = classify(fuse_attention(add_position_encoding(fused, m), params), params).item()
+    fused = assemble(swapped, author_a, params)
+    swapped_out = classify(fuse_attention(add_position_encoding(fused, tokens.shape[0]), params), params).item()
+    fused = assemble(tokens, author_a, params)
+    base = classify(fuse_attention(add_position_encoding(fused, tokens.shape[0]), params), params).item()
     assert swapped_out != base
 
 
@@ -179,8 +178,9 @@ def test_all_negative_rows_hit_relu_dead_zone(params):
 def test_probabilities_in_open_interval(params):
     rng = np.random.default_rng(11)
     for _ in range(10):
-        fused, m = assemble(Tensor(rng.normal(size=(rng.integers(1, 6), 8))), _author(rng), params)
-        p = classify(fuse_attention(add_position_encoding(fused, m), params), params).item()
+        tokens = Tensor(rng.normal(size=(rng.integers(1, 6), 8)))
+        fused = add_position_encoding(assemble(tokens, _author(rng), params), tokens.shape[0])
+        p = classify(fuse_attention(fused, params), params).item()
         assert 0.0 < p < 1.0
     big = classify(Tensor(rng.normal(size=(4, 8)) * 1e3), params).item()
     assert np.isfinite(big)
@@ -203,8 +203,7 @@ def test_fusion_gradients_match_finite_differences(params):
     tensors = [tokens, author] + list(params.named().values())
 
     def fn():
-        fused, m = assemble(tokens, author, params)
-        x = add_position_encoding(fused, m)
+        x = add_position_encoding(assemble(tokens, author, params), tokens.shape[0])
         return classify(fuse_attention(x, params), params).sum()
 
     assert_gradients_match(fn, tensors, rtol=1e-4)

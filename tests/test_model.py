@@ -123,7 +123,7 @@ def test_no_gat_structurally_equals_full_without_user_rows(setting):
     nog.load_state_arrays(state)
 
     want = nog.predict(seqs[:3], graph)
-    got = full.forward_batch(seqs[:3], [None] * 3, None).data
+    got = full.forward_batch(seqs[:3], graph, None).data
     assert np.array_equal(got, want)
 
 
@@ -155,10 +155,11 @@ def _tweet_probability(model, seq, author_index, embeddings):
         if tokens is not None:
             pooled.append(tokens.mean(axis=0, keepdims=True))
         if author is not None:
-            pooled.append(assemble(None, author, model.fusion)[0].mean(axis=0, keepdims=True))
+            pooled.append(assemble(None, author, model.fusion).mean(axis=0, keepdims=True))
         x = concat(pooled, axis=1)
     else:
-        x, num_tokens = assemble(tokens, author, model.fusion)
+        x = assemble(tokens, author, model.fusion)
+        num_tokens = 0 if tokens is None else tokens.shape[0]
         x = fuse_attention(add_position_encoding(x, num_tokens), model.fusion)
     return classify(x, model.fusion, pooling=model.pooling).item()
 
@@ -181,11 +182,10 @@ def test_batched_forward_matches_per_tweet_reference(setting, ablation, pooling)
 def test_predict_scores_off_the_tape_bit_identically(setting):
     _, _, graph, seqs = setting
     model, _ = _model(setting)
-    authors = [graph.index[s.author_id] for s in seqs]
-    on_tape = model.forward_batch(seqs, authors, model.user_embeddings(graph))
+    on_tape = model.forward_batch(seqs, graph, model.user_embeddings(graph))
     assert on_tape.requires_grad
     with no_grad():
-        off_tape = model.forward_batch(seqs, authors, model.user_embeddings(graph))
+        off_tape = model.forward_batch(seqs, graph, model.user_embeddings(graph))
     assert not off_tape.requires_grad
     assert np.array_equal(off_tape.data, on_tape.data)
     assert np.array_equal(model.predict(seqs, graph), on_tape.data)
@@ -198,9 +198,3 @@ def test_predict_chunks_by_batch_size(setting):
     model.config.batch_size = 4  # two chunks: 4 tweets, then 2
     assert np.max(np.abs(model.predict(seqs, graph) - whole)) <= 1e-12
 
-
-def test_forward_batch_rejects_mixed_author_indices(setting):
-    _, _, graph, seqs = setting
-    model, _ = _model(setting)
-    with pytest.raises(ValueError, match="every tweet"):
-        model.forward_batch(seqs[:2], [0, None], model.user_embeddings(graph))

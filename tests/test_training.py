@@ -66,6 +66,13 @@ def test_config_validation():
         TrainConfig(graph_variant="dense").validate()
     with pytest.raises(ValueError, match=r"init_strategy 'zeros'.*'all0', 'all1', 'avg', 'nonoff'"):
         TrainConfig(init_strategy="zeros").validate()
+    with pytest.raises(ValueError, match=r"attention_dropout must be in \[0, 1\), got 1.0"):
+        TrainConfig(attention_dropout=1.0).validate()
+    with pytest.raises(ValueError, match=r"hidden_dropout must be in \[0, 1\), got -0.1"):
+        TrainConfig(hidden_dropout=-0.1).validate()
+    with pytest.raises(ValueError, match="fusion_heads 3 must divide d_model 64"):
+        TrainConfig(fusion_heads=3).validate()
+    TrainConfig(attention_dropout=0.0, hidden_dropout=0.0).validate()
 
 
 def test_config_file_roundtrip(tmp_path):
@@ -248,6 +255,7 @@ def test_replicate_single_run_equals_train(corpus):
     assert report.std["f1"] == 0.0
 
 
+@pytest.mark.slow
 def test_replicate_ten_runs_are_stable():
     # calibrated once at this exact setting: every derived seed transitions
     # within the epoch budget, so F1 varies only mildly across replications
