@@ -51,4 +51,4 @@ bow = with_node_features(graph, split.train, "bow", vocab=vocab)
 print(f"  feature width = vocabulary size = {bow.features.shape[1]}")
 print(f"  mean tokens per user: {bow.features.sum(axis=1).mean():.1f}")
 
-print("\nmasking keeps structure:", masked.out_neighbors == graph.out_neighbors)
+print("\nmasking keeps structure:", np.array_equal(masked.arcs, graph.arcs))

@@ -16,7 +16,7 @@ from offgraph.tensor import matmul
 # four users: 0 follows 1 and 2; 1 follows 2; 2 follows 3; 3 follows nobody
 graph = SocialGraph(
     nodes=["ann", "bob", "cat", "dee"],
-    out_neighbors=[[0, 1, 2], [1, 2], [2, 3], [3]],
+    arcs=np.array([[0, 1], [0, 2], [1, 2], [2, 3]]),
 )
 features = Tensor(np.array([
     [9.0, 0.0],   # ann: busy, never offensive

@@ -20,12 +20,13 @@ import json
 import sys
 
 from .corpus import encode, load_corpus, load_tweets, write_edges_tsv, write_tweets_jsonl
-from .graph import build_graph, graph_to_json, with_node_features
+from .graph import INIT_STRATEGIES, VARIANTS, build_graph, graph_to_json, with_node_features
 from .metrics import metrics_report
 from .model import ABLATIONS
 from .preprocess import EmojiTable, RawTweet
 from .synthetic import generate_corpus
 from .training import (
+    SWEEP_AXES,
     TrainConfig,
     ablate,
     fit,
@@ -149,8 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-graph", help="build the social graph and dump JSON")
     p.add_argument("--tweets", required=True)
     p.add_argument("--edges", required=True)
-    p.add_argument("--variant", choices=("soft", "hard", "bow"), default="soft")
-    p.add_argument("--init", choices=("all0", "all1", "avg", "nonoff"), default="nonoff")
+    p.add_argument("--variant", choices=VARIANTS, default="soft")
+    p.add_argument("--init", choices=INIT_STRATEGIES, default="nonoff")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_build_graph)
 
@@ -177,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_ablate)
 
     p = sub.add_parser("sweep", help="run an experiment grid, write CSV")
-    p.add_argument("--axis", choices=("train_fraction", "init", "variant"), required=True)
+    p.add_argument("--axis", choices=SWEEP_AXES, required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--tweets", required=True)
     p.add_argument("--edges", required=True)

@@ -47,8 +47,12 @@ VARIANTS = ("soft", "hard", "bow")
 
 @dataclass
 class SocialGraph:
+    """Users and their one adjacency, ``arcs``: a read-only ``[A, 2]`` int64 array of
+    follower -> followee ids, sorted by (follower, followee), without repeats
+    or self-follows. Every node also attends over itself; that self-loop is not stored."""
+
     nodes: list[str]
-    out_neighbors: list[list[int]]  # self first, then followed nodes
+    arcs: np.ndarray
     features: np.ndarray | None = None
     variant: str = "none"
     init_strategy: str = "none"
@@ -58,7 +62,18 @@ class SocialGraph:
     )
 
     def __post_init__(self):
+        # Checks only, never re-sorts: with_node_features re-runs this through replace().
         self.index = {u: i for i, u in enumerate(self.nodes)}
+        arcs, n = self.arcs, len(self.nodes)
+        if not isinstance(arcs, np.ndarray) or arcs.dtype != np.int64 or arcs.shape[1:] != (2,):
+            raise ValueError("arcs must be an [A, 2] int64 array")
+        if np.any((arcs < 0) | (arcs >= n)):
+            raise ValueError(f"arc node ids must lie in [0, {n})")
+        if np.any(arcs[:, 0] == arcs[:, 1]):
+            raise ValueError("arcs must not hold a self-follow")
+        if np.any(np.diff(arcs[:, 0] * n + arcs[:, 1]) <= 0):
+            raise ValueError("arcs must be sorted by (follower, followee) without repeats")
+        arcs.flags.writeable = False
 
     @property
     def num_nodes(self) -> int:
@@ -66,63 +81,48 @@ class SocialGraph:
 
     @property
     def num_arcs(self) -> int:
-        return sum(len(n) for n in self.out_neighbors)
+        return len(self.arcs) + self.num_nodes  # one self-loop per node included
 
     def edge_arrays(self, symmetric: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        """Flat (source, neighbor) arrays over every attention neighborhood.
+        """Flat (source, neighbor) arrays over every attention neighborhood, sorted by that pair.
 
-        The neighborhood of node i is itself plus its followees; with
-        ``symmetric`` the followers are attended over as well. Built once per
-        flag and returned read-only, so ``out_neighbors`` must not change
-        after the first call.
+        A node attends over itself and its followees, plus its followers with
+        ``symmetric``. Built once per flag and returned read-only.
         """
         if symmetric not in self._edge_cache:
-            self._edge_cache[symmetric] = self._build_edge_arrays(symmetric)
+            n, (follower, followee) = self.num_nodes, self.arcs.T
+            loops = np.arange(n, dtype=np.int64)
+            src = np.concatenate([loops, follower, followee] if symmetric else [loops, follower])
+            dst = np.concatenate([loops, followee, follower] if symmetric else [loops, followee])
+            arrays = np.divmod(_distinct(src * n + dst), n)
+            for array in arrays:
+                array.flags.writeable = False
+            self._edge_cache[symmetric] = arrays
         return self._edge_cache[symmetric]
 
-    def _build_edge_arrays(self, symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
-        hoods: list[set[int]] = [set(nbrs) for nbrs in self.out_neighbors]
-        if symmetric:
-            for i, nbrs in enumerate(self.out_neighbors):
-                for j in nbrs:
-                    hoods[j].add(i)
-        src, dst = [], []
-        for i, hood in enumerate(hoods):
-            for j in sorted(hood):
-                src.append(i)
-                dst.append(j)
-        arrays = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
-        for array in arrays:
-            array.flags.writeable = False
-        return arrays
-
     def directed_edges(self) -> list[tuple[str, str]]:
-        """The deduplicated follower -> followee pairs, self-loops excluded."""
-        out = []
-        for i, nbrs in enumerate(self.out_neighbors):
-            for j in nbrs:
-                if j != i:
-                    out.append((self.nodes[i], self.nodes[j]))
-        return out
+        """The follower -> followee name pairs, in arc order."""
+        return list(zip(*np.asarray(self.nodes, dtype=object)[self.arcs].T))
 
 
-def _out_neighbors(nodes: list[str], edges) -> list[list[int]]:
-    """Each node's sorted followees, the node itself first; repeats and self-follows collapse."""
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """np.unique of non-negative keys; sorting and dropping repeats is ~20x faster in numpy 2.4."""
+    keys = np.sort(keys)
+    return keys[np.diff(keys, prepend=-1) != 0]
+
+
+def _arcs(nodes: list[str], name_pairs) -> np.ndarray:
+    """The canonical arc array of follower -> followee name pairs; repeats and self-follows drop out."""
     index = {u: i for i, u in enumerate(nodes)}
-    followees: list[set[int]] = [set() for _ in nodes]
-    for follower, followee in edges:
-        if follower != followee:
-            followees[index[follower]].add(index[followee])
-    return [[i] + sorted(f) for i, f in enumerate(followees)]
+    ids = np.fromiter((index[u] for f, e in name_pairs for u in (f, e)), dtype=np.int64).reshape(-1, 2)
+    ids = ids[ids[:, 0] != ids[:, 1]]
+    return np.stack(np.divmod(_distinct(ids[:, 0] * len(nodes) + ids[:, 1]), len(nodes)), axis=1)
 
 
 def build_graph(corpus: Corpus) -> SocialGraph:
-    """One node per user, a directed arc per relationship, self-loops added.
-
-    Repeated relationships in the file collapse to one arc.
-    """
+    """One node per user and one arc per distinct follow relationship; self-loops are implied."""
     nodes = sorted(corpus.users)
-    return SocialGraph(nodes=nodes, out_neighbors=_out_neighbors(nodes, corpus.edges))
+    return SocialGraph(nodes=nodes, arcs=_arcs(nodes, corpus.edges))
 
 
 def init_unknown_features(strategy: str, train_stats: tuple[float, float] | None = None) -> np.ndarray:
@@ -218,7 +218,7 @@ def graph_from_dict(payload: dict) -> SocialGraph:
     features = payload.get("features")
     return SocialGraph(
         nodes=nodes,
-        out_neighbors=_out_neighbors(nodes, payload["edges"]),
+        arcs=_arcs(nodes, payload["edges"]),
         features=None if features is None else np.asarray(features, dtype=np.float64),
         variant=payload.get("variant", "none"),
         init_strategy=payload.get("init_strategy", "none"),

@@ -182,6 +182,8 @@ class DetectionModel:
         Scores off the tape, in chunks of ``config.batch_size`` tweets, so
         memory stays flat in the number of tweets.
         """
+        if not seqs:
+            return np.zeros(0)
         step = self.config.batch_size
         with no_grad():
             embeddings = self.user_embeddings(graph)

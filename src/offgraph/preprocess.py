@@ -54,11 +54,7 @@ _EMOJI_RANGES = (
     (0x2600, 0x27BF),
     (0x2B00, 0x2BFF),
 )
-
-
-def _is_emoji_char(ch: str) -> bool:
-    cp = ord(ch)
-    return any(lo <= cp <= hi for lo, hi in _EMOJI_RANGES)
+_EMOJI_CHAR = re.compile("[" + "".join(f"{chr(lo)}-{chr(hi)}" for lo, hi in _EMOJI_RANGES) + "]")
 
 
 class EmojiTable:
@@ -160,26 +156,25 @@ def replace_emojis(text: str, table: EmojiTable | None = None) -> str:
     out: list[str] = []
     i = 0
     n = len(text)
-    while i < n:
-        ch = text[i]
-        if not _is_emoji_char(ch):
-            out.append(ch)
-            i += 1
-            continue
-        j = i + 1
+    while (match := _EMOJI_CHAR.search(text, i)) is not None:
+        start = match.start()
+        if start > i:
+            out.append(text[i:start])
+        j = start + 1
         while j < n and (text[j] == _VS16 or text[j] in _SKIN_TONES):
             j += 1
-        while j < n and text[j] == _ZWJ and j + 1 < n and _is_emoji_char(text[j + 1]):
+        while j < n and text[j] == _ZWJ and _EMOJI_CHAR.match(text, j + 1):
             j += 2
             while j < n and (text[j] == _VS16 or text[j] in _SKIN_TONES):
                 j += 1
-        phrase = table.lookup(text[i:j]) or "<emoji>"
+        phrase = table.lookup(text[start:j]) or "<emoji>"
         if out and not out[-1][-1].isspace():
             out.append(" ")
         out.append(phrase)
         if j < n and not text[j].isspace():
             out.append(" ")
         i = j
+    out.append(text[i:])
     return "".join(out)
 
 

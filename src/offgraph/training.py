@@ -58,6 +58,7 @@ __all__ = [
     "load_checkpoint",
 ]
 
+SWEEP_AXES = ("train_fraction", "init", "variant")
 INIT_SWEEP_FRACTIONS = (0.1, 0.7)
 FRACTION_SWEEP = tuple(round(0.1 * k, 1) for k in range(1, 10))
 
@@ -124,6 +125,10 @@ class TrainConfig:
         for name, allowed in choices:
             if getattr(self, name) not in allowed:
                 raise ValueError(f"unknown {name} {getattr(self, name)!r}; expected one of {allowed}")
+        if self.ablation != "no_encoder" and self.d_model % self.encoder_heads:
+            raise ValueError(f"encoder_heads {self.encoder_heads} must divide d_model {self.d_model}")
+        if self.ablation not in ("no_gat", "single_head_gat") and self.gat_hidden % self.gat_heads:
+            raise ValueError(f"gat_heads {self.gat_heads} must divide gat_hidden {self.gat_hidden}")
         FocalParams(self.focal_alpha, self.focal_gamma)
         return self
 
@@ -392,7 +397,7 @@ def sweep(config: TrainConfig, axis: str, corpus: Corpus) -> str:
         header = ["train_fraction", *_METRIC_COLUMNS]
     elif axis == "init":
         for fraction in INIT_SWEEP_FRACTIONS:
-            for strategy in ("all0", "all1", "avg", "nonoff"):
+            for strategy in INIT_STRATEGIES:
                 result = train(replace(config, train_fraction=fraction, init_strategy=strategy), corpus)
                 rows.append({"train_fraction": fraction, "init_strategy": strategy, **_metric_cells(result)})
         header = ["train_fraction", "init_strategy", *_METRIC_COLUMNS]
@@ -403,7 +408,7 @@ def sweep(config: TrainConfig, axis: str, corpus: Corpus) -> str:
                 rows.append({"model": model_kind, "graph_variant": variant, **_metric_cells(result)})
         header = ["model", "graph_variant", *_METRIC_COLUMNS]
     else:
-        raise ValueError(f"unknown sweep axis {axis!r}")
+        raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
 
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=header, lineterminator="\n")

@@ -2,8 +2,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# Property tests draw the same examples on every run and keep no example database.
+settings.register_profile("offgraph", derandomize=True, database=None, deadline=None)
+settings.load_profile("offgraph")
 
 import offgraph.attention  # noqa: E402
 

@@ -144,8 +144,8 @@ def test_gat_oracle_equivalence():
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 7))
         nodes = [f"n{i}" for i in range(n)]
-        out = [[i] + sorted(j for j in range(n) if j != i and rng.random() < 0.5) for i in range(n)]
-        graph = SocialGraph(nodes=nodes, out_neighbors=out)
+        arcs = [(i, j) for i in range(n) for j in range(n) if j != i and rng.random() < 0.5]
+        graph = SocialGraph(nodes=nodes, arcs=np.array(arcs, dtype=np.int64).reshape(-1, 2))
         feature_dim = int(rng.integers(1, 4))
         params = GatParams.init(feature_dim, int(rng.integers(1, 4)), int(rng.integers(1, 5)), rng)
         x = rng.normal(size=(n, feature_dim))
@@ -162,8 +162,8 @@ def test_attention_normalization(attention_probs):
     rng = np.random.default_rng(5)
 
     nodes = [f"n{i}" for i in range(20)]
-    out = [[i] + sorted(j for j in range(20) if j != i and rng.random() < 0.3) for i in range(20)]
-    graph = SocialGraph(nodes=nodes, out_neighbors=out)
+    arcs = [(i, j) for i in range(20) for j in range(20) if j != i and rng.random() < 0.3]
+    graph = SocialGraph(nodes=nodes, arcs=np.array(arcs, dtype=np.int64).reshape(-1, 2))
     params = GatParams.init(2, 4, 8, rng)
     src, dst = graph.edge_arrays()
     worst = 0.0

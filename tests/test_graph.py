@@ -2,12 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from offgraph.corpus import Corpus, build_vocab, split_corpus
 from offgraph.graph import (
+    SocialGraph,
     bow_features,
     build_graph,
+    graph_from_dict,
     graph_from_json,
+    graph_to_dict,
     graph_to_json,
     hard_features,
     init_unknown_features,
@@ -26,8 +31,8 @@ def _tweet(i, user, label=0, text="hello world"):
 def test_two_user_adjacency():
     corpus = Corpus(tweets=[_tweet(1, "x"), _tweet(2, "y")], edges=[("x", "y")])
     g = build_graph(corpus)
-    adj = {g.nodes[i]: [g.nodes[j] for j in nbrs] for i, nbrs in enumerate(g.out_neighbors)}
-    assert adj == {"x": ["x", "y"], "y": ["y"]}
+    assert g.nodes == ["x", "y"]
+    assert np.array_equal(g.arcs, [[0, 1]])
 
 
 def test_arc_count_includes_self_loops():
@@ -71,6 +76,54 @@ def test_edge_arrays_are_built_once_per_flag_and_read_only():
         cold = gat_forward(Tensor(g.features), replace(g), params, symmetric=symmetric).data  # nothing cached
         assert np.array_equal(warm, cold)
     assert len(g.edge_arrays(symmetric=True)[0]) > len(g.edge_arrays()[0])
+
+
+# Up to 8 nodes and follow pairs (as node ids) that may repeat or be self-follows.
+_follow_graphs = st.integers(1, 8).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=24))
+)
+
+
+@settings(max_examples=200)
+@given(_follow_graphs)
+def test_arcs_and_edge_arrays_match_brute_force(graph_input):
+    n, pairs = graph_input
+    nodes = [f"u{i}" for i in range(n)]  # sorted as names and as ids
+    g = build_graph(Corpus(tweets=[], edges=[(nodes[a], nodes[b]) for a, b in pairs], users=set(nodes)))
+    follows = {(a, b) for a, b in pairs if a != b}
+    assert g.arcs.dtype == np.int64 and g.arcs.shape == (len(follows), 2) and not g.arcs.flags.writeable
+    assert g.arcs.tolist() == [list(p) for p in sorted(follows)]
+    back = graph_from_dict(graph_to_dict(g))
+    assert np.array_equal(back.arcs, g.arcs)
+    for symmetric in (False, True):
+        hoods = {(i, i) for i in range(n)} | follows | ({(b, a) for a, b in follows} if symmetric else set())
+        src, dst = g.edge_arrays(symmetric=symmetric)
+        assert list(zip(src.tolist(), dst.tolist())) == sorted(hoods)
+        for got, want in zip(back.edge_arrays(symmetric=symmetric), (src, dst)):
+            assert np.array_equal(got, want)
+
+
+@settings(max_examples=100)
+@given(_follow_graphs)
+def test_constructor_rejects_non_canonical_arcs(graph_input):
+    n, pairs = graph_input
+    nodes = [f"u{i}" for i in range(n)]
+    arcs = np.array(sorted({(a, b) for a, b in pairs if a != b}), dtype=np.int64).reshape(-1, 2)
+    SocialGraph(nodes=nodes, arcs=arcs.copy())
+    cases = [
+        (np.vstack([arcs, [[n - 1, n]]]), "lie in"),
+        (np.vstack([[[-1, 0]], arcs]), "lie in"),
+        (np.vstack([arcs, [[n - 1, n - 1]]]), "self-follow"),
+        (arcs.tolist(), "int64 array"),
+        (arcs.astype(np.float64), "int64 array"),
+    ]
+    if len(arcs):
+        cases.append((np.repeat(arcs, 2, axis=0), "sorted"))
+    if len(arcs) > 1:
+        cases.append((arcs[::-1].copy(), "sorted"))
+    for bad, rule in cases:
+        with pytest.raises(ValueError, match=rule):
+            SocialGraph(nodes=nodes, arcs=bad)
 
 
 # -- feature initialization ----------------------------------------------------
@@ -180,7 +233,7 @@ def test_masking_keeps_structure():
     split = split_corpus(corpus, 0.5, rng_seed=2)
     g = with_node_features(build_graph(corpus), corpus.tweets, "soft")
     masked = mask_test_information(g, split)
-    assert masked.out_neighbors == g.out_neighbors
+    assert np.array_equal(masked.arcs, g.arcs)
     assert masked.nodes == g.nodes
 
 
@@ -206,6 +259,6 @@ def test_graph_json_roundtrip():
     g = with_node_features(build_graph(corpus), split.train, "soft", "all1")
     back = graph_from_json(graph_to_json(g))
     assert back.nodes == g.nodes
-    assert back.out_neighbors == g.out_neighbors
+    assert np.array_equal(back.arcs, g.arcs)
     assert np.array_equal(back.features, g.features)
     assert (back.variant, back.init_strategy) == ("soft", "all1")

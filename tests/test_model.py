@@ -44,6 +44,23 @@ def test_unknown_ablation_rejected(setting):
         DetectionModel(_config(ablation="nope"), len(vocab), 2, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("ablation", ABLATIONS)
+def test_validate_rejects_exactly_the_head_counts_the_model_rejects(ablation):
+    for encoder_heads, gat_heads in ((4, 4), (5, 4), (4, 5), (5, 5)):
+        cfg = TrainConfig(
+            gat_hidden=12, gat_heads=gat_heads, d_model=12, encoder_layers=1, encoder_heads=encoder_heads,
+            d_ff=8, max_len=8, fusion_heads=2, ablation=ablation,
+        )
+        outcomes = []
+        for check in (cfg.validate, lambda: DetectionModel(cfg, 10, 2, np.random.default_rng(0))):
+            try:
+                check()
+                outcomes.append("accepted")
+            except ValueError:
+                outcomes.append("rejected")
+        assert outcomes[0] == outcomes[1], (encoder_heads, gat_heads)
+
+
 def test_parameter_groups_partition(setting):
     model, _ = _model(setting)
     gat_group, rest = model.parameter_groups()
@@ -189,6 +206,13 @@ def test_predict_scores_off_the_tape_bit_identically(setting):
     assert not off_tape.requires_grad
     assert np.array_equal(off_tape.data, on_tape.data)
     assert np.array_equal(model.predict(seqs, graph), on_tape.data)
+
+
+def test_predict_on_no_tweets_is_empty(setting):
+    _, _, graph, _ = setting
+    model, _ = _model(setting)
+    probs = model.predict([], graph)
+    assert probs.shape == (0,) and probs.dtype == np.float64
 
 
 def test_predict_chunks_by_batch_size(setting):

@@ -5,8 +5,14 @@ import string
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from offgraph.preprocess import (
+    _EMOJI_RANGES,
+    _SKIN_TONES,
+    _VS16,
+    _ZWJ,
     EmojiTable,
     RawTweet,
     normalize_entities,
@@ -131,6 +137,55 @@ def test_emoji_adjacent_words_are_padded(table):
 
 def test_emoji_variation_selector_stripped(table):
     assert replace_emojis("love ❤️", table) == "love red heart"
+
+
+def _replace_emojis_per_character(text, table):
+    """Slow reference for ``replace_emojis``: tests every character against every code-point range."""
+
+    def is_emoji(ch):
+        return any(lo <= ord(ch) <= hi for lo, hi in _EMOJI_RANGES)
+
+    out = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if not is_emoji(ch):
+            out.append(ch)
+            i += 1
+            continue
+        j = i + 1
+        while j < n and (text[j] == _VS16 or text[j] in _SKIN_TONES):
+            j += 1
+        while j < n and text[j] == _ZWJ and j + 1 < n and is_emoji(text[j + 1]):
+            j += 2
+            while j < n and (text[j] == _VS16 or text[j] in _SKIN_TONES):
+                j += 1
+        phrase = table.lookup(text[i:j]) or "<emoji>"
+        if out and not out[-1][-1].isspace():
+            out.append(" ")
+        out.append(phrase)
+        if j < n and not text[j].isspace():
+            out.append(" ")
+        i = j
+    return "".join(out)
+
+
+_TABLE = EmojiTable.default()
+# Words, combining marks, mapped and unmapped emoji, and the first and last
+# code point of every range together with their outside neighbours.
+_EMOJI_PIECES = (
+    ["hi", "x", " ", "  ", "\n", _VS16, _ZWJ, "\U0001FAFF", "\U0001F1FA\U0001F1F8"]
+    + sorted(_SKIN_TONES)[:2]
+    + sorted(_TABLE.mapping)[:: max(1, len(_TABLE) // 12)]
+    + [chr(cp) for lo, hi in _EMOJI_RANGES for cp in (lo - 1, lo, hi, hi + 1)]
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.one_of(st.sampled_from(_EMOJI_PIECES), st.characters()), max_size=16).map("".join))
+def test_emoji_scan_matches_per_character_reference(text):
+    assert replace_emojis(text, _TABLE) == _replace_emojis_per_character(text, _TABLE)
 
 
 def test_bad_phrase_rejected():

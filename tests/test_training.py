@@ -72,7 +72,12 @@ def test_config_validation():
         TrainConfig(hidden_dropout=-0.1).validate()
     with pytest.raises(ValueError, match="fusion_heads 3 must divide d_model 64"):
         TrainConfig(fusion_heads=3).validate()
+    with pytest.raises(ValueError, match="encoder_heads 3 must divide d_model 64"):
+        TrainConfig(encoder_heads=3).validate()
+    with pytest.raises(ValueError, match="gat_heads 3 must divide gat_hidden 64"):
+        TrainConfig(gat_heads=3).validate()
     TrainConfig(attention_dropout=0.0, hidden_dropout=0.0).validate()
+    TrainConfig(gat_heads=3, ablation="single_head_gat").validate()  # one head takes all of gat_hidden
 
 
 def test_config_file_roundtrip(tmp_path):
@@ -315,7 +320,7 @@ def test_variant_sweep_has_six_rows(sweep_corpus):
 
 
 def test_sweep_rejects_unknown_axis(sweep_corpus):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"axis 'bogus'; expected one of \('train_fraction', 'init', 'variant'\)"):
         sweep(_tiny_config(), "bogus", sweep_corpus)
 
 
@@ -336,7 +341,7 @@ def test_checkpoint_roundtrip(tmp_path, corpus):
     run.model.load_state_arrays(run.best_state)
     assert np.allclose(loaded.model.predict(seqs, loaded.graph), run.model.predict(seqs, run.graph), atol=1e-12)
     assert loaded.graph.nodes == run.graph.nodes
-    assert loaded.graph.out_neighbors == run.graph.out_neighbors
+    assert np.array_equal(loaded.graph.arcs, run.graph.arcs)
     assert np.array_equal(loaded.graph.features, run.graph.features)
     assert (loaded.graph.variant, loaded.graph.init_strategy) == (run.graph.variant, run.graph.init_strategy)
 
