@@ -35,7 +35,7 @@ print("analytic:", np.round(x.grad[0], 8))
 print("numeric: ", np.round(numeric, 8))
 
 print("\n== Xavier initialization hits its target spread ==")
-table = xavier_normal_init(768, 768, rng_seed=0)
+table = xavier_normal_init(768, 768, np.random.default_rng(0))
 print(f"sample std {table.data.std():.5f} vs sqrt(2/1536) = {np.sqrt(2/1536):.5f}")
 
 print("\n== Adam on a 1-D quadratic ==")

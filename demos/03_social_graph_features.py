@@ -19,7 +19,7 @@ from offgraph import (
 )
 
 corpus = generate_corpus(400, 50, seed=7)
-split = split_corpus(corpus, train_fraction=0.7, rng_seed=0)
+split = split_corpus(corpus, 0.7, np.random.default_rng(0))
 print(f"corpus: {len(corpus.tweets)} tweets, {len(corpus.users)} users, {len(corpus.edges)} edges")
 print(f"split: {len(split.train)} train / {len(split.test)} test tweets")
 

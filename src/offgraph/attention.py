@@ -24,7 +24,6 @@ def multi_head_attention(
     bk: Tensor | None = None,
     bv: Tensor | None = None,
     bo: Tensor | None = None,
-    training: bool = False,
     rng: np.random.Generator | None = None,
     attn_dropout: float = 0.0,
 ) -> Tensor:
@@ -36,8 +35,8 @@ def multi_head_attention(
     Q/K/V projections split into heads by a reshape to [B, H, S, d_k]; each
     head scores with 1/sqrt(d_k) scaling and softmax-normalizes per query
     row, and the concatenated head outputs pass through the output
-    projection. Dropout is applied to the attention probabilities in
-    training mode only.
+    projection. Dropout at ``attn_dropout`` is applied to the attention
+    probabilities when ``rng`` is given.
     """
     single = x.ndim == 2
     if single:
@@ -56,7 +55,7 @@ def multi_head_attention(
     v = heads(wv, bv, (0, 2, 1, 3))
     scores = batched_matmul(q, k_t) * Tensor(1.0 / math.sqrt(d_k))
     key_mask = None if mask is None else np.where(mask, 0.0, -np.inf)[:, None, None, :]  # [B, 1, 1, S]
-    probs = dropout(softmax(scores, axis=-1, mask=key_mask), attn_dropout, training, rng)
+    probs = dropout(softmax(scores, axis=-1, mask=key_mask), attn_dropout, rng)
 
     mixed = transpose(batched_matmul(probs, v), (0, 2, 1, 3))  # [B, S, H, d_k]
     out = matmul(reshape(mixed, (batch, length, d_model)), wo)

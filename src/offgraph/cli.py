@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 
-from .corpus import encode, load_corpus, load_tweets, write_edges_tsv, write_tweets_jsonl
+from .corpus import build_vocab, encode, load_corpus, load_tweets, write_edges_tsv, write_tweets_jsonl
 from .graph import INIT_STRATEGIES, VARIANTS, build_graph, graph_to_json, with_node_features
 from .metrics import metrics_report
 from .model import ABLATIONS
@@ -75,19 +75,20 @@ def _cmd_preprocess(args) -> int:
 def _cmd_build_graph(args) -> int:
     corpus = load_corpus(args.tweets, args.edges)
     graph = build_graph(corpus)
-    vocab = None
-    if args.variant == "bow":
-        from .corpus import build_vocab
-
-        vocab = build_vocab(corpus.tweets)
+    vocab = build_vocab(corpus.tweets) if args.variant == "bow" else None
     graph = with_node_features(graph, corpus.tweets, args.variant, args.init, vocab)
     _write_or_print(graph_to_json(graph), args.out)
     return 0
 
 
-def _cmd_train(args) -> int:
+def _config_and_corpus(args):
+    """The ``--config`` file (defaults without one) and the ``--tweets``/``--edges`` corpus."""
     config = parse_config_file(args.config) if args.config else TrainConfig().validate()
-    corpus = load_corpus(args.tweets, args.edges)
+    return config, load_corpus(args.tweets, args.edges)
+
+
+def _cmd_train(args) -> int:
+    config, corpus = _config_and_corpus(args)
     run = fit(config, corpus)
     _write_or_print(run.result.to_json(), args.out)
     if args.checkpoint:
@@ -111,8 +112,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    config = parse_config_file(args.config) if args.config else TrainConfig().validate()
-    corpus = load_corpus(args.tweets, args.edges)
+    config, corpus = _config_and_corpus(args)
     if args.variant == "all":
         rows = run_ablation_table(config, corpus)
         _write_or_print(json.dumps(rows, indent=2), args.out)
@@ -123,8 +123,7 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = parse_config_file(args.config) if args.config else TrainConfig().validate()
-    corpus = load_corpus(args.tweets, args.edges)
+    config, corpus = _config_and_corpus(args)
     _write_or_print(sweep(config, args.axis, corpus), args.out)
     return 0
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -147,13 +147,8 @@ def _partition(tweets: list[RawTweet], train_fraction: float, rng: np.random.Gen
     return [tweets[i] for i in train_idx], [tweets[i] for i in test_idx]
 
 
-def split_corpus(
-    corpus: Corpus,
-    train_fraction: float = 0.7,
-    rng_seed: int | np.random.Generator = 0,
-    stratify: bool = False,
-) -> Split:
-    """Uniform random partition of tweets (users may straddle both sides).
+def split_corpus(corpus: Corpus, train_fraction: float, rng: np.random.Generator, stratify: bool = False) -> Split:
+    """Uniform random partition of tweets drawn from ``rng`` (users may straddle both sides).
 
     With ``stratify`` the same rule is applied within each label class, which
     keeps the class ratio equal across sides.
@@ -162,7 +157,6 @@ def split_corpus(
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
     if not corpus.tweets:
         raise ValueError("cannot split an empty corpus")
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
     if not stratify:
         train, test = _partition(corpus.tweets, train_fraction, rng)
         return Split(train=train, test=test)
@@ -249,14 +243,10 @@ def encode(tweet: RawTweet, vocab: Vocab, max_len: int = 64) -> TokenSequence:
     )
 
 
-def batches(items: list, batch_size: int = 64, rng_seed=None, shuffle: bool = False):
-    """Yield the items in batches; each shuffled epoch draws a fresh order."""
+def batches(items: list, batch_size: int, rng: np.random.Generator | None = None):
+    """Yield the items in batches, in order, or in an order drawn from ``rng`` when given."""
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
-    if shuffle:
-        rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
-        order = rng.permutation(len(items))
-    else:
-        order = np.arange(len(items))
+    order = np.arange(len(items)) if rng is None else rng.permutation(len(items))
     for start in range(0, len(items), batch_size):
         yield [items[i] for i in order[start : start + batch_size]]

@@ -80,8 +80,6 @@ class EncoderParams:
     pos_table: Tensor  # [max_len, d_model]
     blocks: list[EncoderBlockParams]
     num_heads: int
-    attn_dropout: float = 0.5
-    hidden_dropout: float = 0.1
 
     @property
     def d_model(self) -> int:
@@ -101,8 +99,6 @@ class EncoderParams:
         num_heads: int,
         d_ff: int,
         rng: np.random.Generator,
-        attn_dropout: float = 0.5,
-        hidden_dropout: float = 0.1,
     ) -> "EncoderParams":
         if d_model % num_heads:
             raise ValueError("d_model must divide evenly across heads")
@@ -111,8 +107,6 @@ class EncoderParams:
             pos_table=xavier_normal_init(max_len, d_model, rng),
             blocks=[EncoderBlockParams.init(d_model, d_ff, rng) for _ in range(num_layers)],
             num_heads=num_heads,
-            attn_dropout=attn_dropout,
-            hidden_dropout=hidden_dropout,
         )
 
     def named(self, prefix: str = "encoder") -> dict[str, Tensor]:
@@ -128,20 +122,19 @@ def self_attention_block(
     num_heads: int,
     *,
     mask: np.ndarray | None = None,
-    training: bool = False,
     rng: np.random.Generator | None = None,
-    attn_dropout: float = 0.5,
-    hidden_dropout: float = 0.1,
+    attn_dropout: float = 0.0,
+    hidden_dropout: float = 0.0,
 ) -> Tensor:
     """One pre-norm residual attention + feed-forward block over [M, d] or masked [B, S, d] rows."""
     attended = multi_head_attention(
         layer_norm(x, block.ln1_gain, block.ln1_bias), block.wq, block.wk, block.wv, block.wo, num_heads,
         mask=mask, bq=block.bq, bk=block.bk, bv=block.bv, bo=block.bo,
-        training=training, rng=rng, attn_dropout=attn_dropout,
+        rng=rng, attn_dropout=attn_dropout,
     )
-    x = x + dropout(attended, hidden_dropout, training, rng)
+    x = x + dropout(attended, hidden_dropout, rng)
     hidden = relu(matmul(layer_norm(x, block.ln2_gain, block.ln2_bias), block.ffn_w1) + block.ffn_b1)
-    return x + dropout(matmul(hidden, block.ffn_w2) + block.ffn_b2, hidden_dropout, training, rng)
+    return x + dropout(matmul(hidden, block.ffn_w2) + block.ffn_b2, hidden_dropout, rng)
 
 
 def encode(
@@ -149,14 +142,17 @@ def encode(
     params: EncoderParams,
     *,
     mask: np.ndarray | None = None,
-    training: bool = False,
     rng: np.random.Generator | None = None,
+    attn_dropout: float = 0.0,
+    hidden_dropout: float = 0.0,
 ) -> Tensor:
     """Last-layer hidden states, one row per token.
 
     ``tokens`` is one sequence of ids (giving [M, d_model]) or a padded
     [B, S] id array (giving [B, S, d_model]) whose real tokens ``mask``
-    [B, S] marks; every sequence needs at least one.
+    [B, S] marks; every sequence needs at least one. With ``rng``, dropout
+    hits the embeddings and each block's outputs at ``hidden_dropout`` and
+    the attention probabilities at ``attn_dropout``.
     """
     ids = np.asarray(tokens.token_ids if isinstance(tokens, TokenSequence) else tokens, dtype=np.int64)
     if ids.ndim not in (1, 2) or ids.shape[-1] == 0:
@@ -168,11 +164,10 @@ def encode(
     if ids.min() < 0 or ids.max() >= params.token_table.shape[0]:
         raise ValueError("token id out of vocabulary range")
     x = gather_rows(params.token_table, ids) + gather_rows(params.pos_table, np.arange(ids.shape[-1]))
-    x = dropout(x, params.hidden_dropout, training, rng)
+    x = dropout(x, hidden_dropout, rng)
     for block in params.blocks:
         x = self_attention_block(
             x, block, params.num_heads, mask=mask,
-            training=training, rng=rng,
-            attn_dropout=params.attn_dropout, hidden_dropout=params.hidden_dropout,
+            rng=rng, attn_dropout=attn_dropout, hidden_dropout=hidden_dropout,
         )
     return x

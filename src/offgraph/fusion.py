@@ -179,15 +179,14 @@ def fuse_attention(
     params: FusionParams,
     *,
     mask: np.ndarray | None = None,
-    training: bool = False,
     rng: np.random.Generator | None = None,
-    attn_dropout: float = 0.5,
+    attn_dropout: float = 0.0,
 ) -> Tensor:
     """Layer norm, multi-head attention, residual link, second layer norm."""
     normed = layer_norm(x, params.ln1_gain, params.ln1_bias)
     attended = multi_head_attention(
         normed, params.wq, params.wk, params.wv, params.wo, params.num_heads, mask=mask,
-        training=training, rng=rng, attn_dropout=attn_dropout,
+        rng=rng, attn_dropout=attn_dropout,
     )
     return layer_norm(x + attended, params.ln2_gain, params.ln2_bias)
 
@@ -208,9 +207,8 @@ def classify(
     params: FusionParams,
     *,
     mask: np.ndarray | None = None,
-    training: bool = False,
     rng: np.random.Generator | None = None,
-    hidden_dropout: float = 0.1,
+    hidden_dropout: float = 0.0,
     pooling: str = "mean",
 ) -> Tensor:
     """Row-wise ReLU-then-linear feed-forward, pooling, logistic probability.
@@ -219,7 +217,7 @@ def classify(
     pooling averages the rows ``mask`` [B, T] keeps; ``cls`` takes row 0.
     """
     hidden = matmul(relu(x), params.ffn_w) + params.ffn_b
-    hidden = dropout(hidden, hidden_dropout, training, rng)
+    hidden = dropout(hidden, hidden_dropout, rng)
     if pooling == "mean":
         pooled = pool_rows(hidden, mask)
     elif pooling == "cls":

@@ -101,12 +101,14 @@ def gat_forward(
     graph: SocialGraph,
     params: GatParams,
     *,
-    training: bool = False,
     rng: np.random.Generator | None = None,
-    attn_dropout: float = 0.5,
+    attn_dropout: float = 0.0,
     symmetric: bool = False,
 ) -> Tensor:
-    """Per-node embeddings [n, (K + 1) * head_dim] (K * head_dim without residual)."""
+    """Per-node embeddings [n, (K + 1) * head_dim] (K * head_dim without residual).
+
+    With ``rng``, each head's attention coefficients get dropout at ``attn_dropout``.
+    """
     if node_features.shape[0] != graph.num_nodes:
         raise ValueError("feature rows must match graph nodes")
     edge_src, edge_dst = graph.edge_arrays(symmetric=symmetric)
@@ -115,7 +117,7 @@ def gat_forward(
     for proj, attn in zip(params.head_proj, params.head_attn):
         z = matmul(node_features, proj)
         alpha = attention_coefficients(z, edge_src, edge_dst, attn, graph.num_nodes)
-        alpha = dropout(alpha, attn_dropout, training, rng)
+        alpha = dropout(alpha, attn_dropout, rng)
         weighted = mul(reshape(alpha, (num_edges, 1)), gather_rows(z, edge_dst))
         parts.append(elu(segment_sum(weighted, edge_src, graph.num_nodes)))
     if params.residual_proj is not None:

@@ -60,23 +60,19 @@ class ConfusionMatrix:
 
 
 def auc_score(scores, labels) -> float:
-    """Rank-sum AUC with mid-rank ties; needs both classes present."""
+    """Rank-sum AUC with mid-rank ties; needs both classes present and finite scores."""
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     num_pos = int(np.sum(y == 1))
     num_neg = int(np.sum(y == 0))
     if num_pos == 0 or num_neg == 0:
         raise ValueError("AUC is undefined without both classes")
-    order = np.argsort(s, kind="mergesort")
-    ranks = np.empty(len(s), dtype=np.float64)
-    sorted_scores = s[order]
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # average of 1-based ranks i+1..j+1
-        i = j + 1
+    non_finite = int(np.count_nonzero(~np.isfinite(s)))
+    if non_finite:
+        raise ValueError(f"AUC needs finite scores; {non_finite} of {s.size} are NaN or infinite")
+    _, group, counts = np.unique(s, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    ranks = (ends - 0.5 * (counts - 1))[group]  # average of the 1-based ranks end-count+1..end of each tie group
     rank_sum = ranks[y == 1].sum()
     return float((rank_sum - num_pos * (num_pos + 1) / 2.0) / (num_pos * num_neg))
 

@@ -36,29 +36,26 @@ class DetectionModel:
         if config.ablation not in ABLATIONS:
             raise ValueError(f"unknown ablation {config.ablation!r}; expected one of {ABLATIONS}")
         self.config = config
-        self.ablation = config.ablation
-        self.pooling = config.pooling
 
         self.gat: GatParams | None = None
-        if self.ablation != "no_gat":
-            heads = 1 if self.ablation == "single_head_gat" else config.gat_heads
+        if config.ablation != "no_gat":
+            heads = 1 if config.ablation == "single_head_gat" else config.gat_heads
             head_dim = config.gat_hidden // heads
             if head_dim * heads != config.gat_hidden:
                 raise ValueError("gat_hidden must divide evenly across heads")
             self.gat = GatParams.init(
                 feature_dim, heads, head_dim, rng,
-                with_residual=self.ablation != "no_gat_residual",
+                with_residual=config.ablation != "no_gat_residual",
             )
 
         self.encoder: EncoderParams | None = None
-        if self.ablation != "no_encoder":
+        if config.ablation != "no_encoder":
             self.encoder = EncoderParams.init(
                 vocab_size, config.max_len, config.d_model,
                 config.encoder_layers, config.encoder_heads, config.d_ff, rng,
-                attn_dropout=config.attention_dropout, hidden_dropout=config.hidden_dropout,
             )
 
-        with_attention = self.ablation != "no_attention_layer"
+        with_attention = config.ablation != "no_attention_layer"
         branches = 1 + (self.gat is not None and self.encoder is not None)
         self.fusion = FusionParams.init(
             config.d_model, config.d_ff, rng,
@@ -103,20 +100,13 @@ class DetectionModel:
 
     # -- forward ---------------------------------------------------------
 
-    def user_embeddings(
-        self,
-        graph: SocialGraph,
-        *,
-        training: bool = False,
-        rng: np.random.Generator | None = None,
-    ) -> Tensor | None:
-        """One graph-attention pass over the full masked graph."""
+    def user_embeddings(self, graph: SocialGraph, *, rng: np.random.Generator | None = None) -> Tensor | None:
+        """One graph-attention pass over the full masked graph; ``rng`` turns dropout on."""
         if self.gat is None:
             return None
         return gat_forward(
             Tensor(graph.features), graph, self.gat,
-            training=training, rng=rng,
-            attn_dropout=self.config.attention_dropout,
+            rng=rng, attn_dropout=self.config.attention_dropout,
             symmetric=self.config.symmetric_neighbors,
         )
 
@@ -131,7 +121,6 @@ class DetectionModel:
         graph: SocialGraph,
         embeddings: Tensor | None,
         *,
-        training: bool = False,
         rng: np.random.Generator | None = None,
     ) -> Tensor:
         """Probabilities for a batch, shape [B], from one padded computation.
@@ -141,6 +130,7 @@ class DetectionModel:
         found through ``graph.index``. ``embeddings=None`` skips the author
         rows entirely, which reproduces the text-only ablation from the full
         model's parameters (the structural-equivalence escape hatch).
+        ``rng`` turns dropout on, at the config's rates.
         """
         if not seqs:
             raise ValueError("forward_batch needs at least one tweet")
@@ -150,11 +140,14 @@ class DetectionModel:
             token_mask = np.arange(lengths.max()) < lengths[:, None]
             ids = np.full(token_mask.shape, Vocab.PAD, dtype=np.int64)
             ids[token_mask] = np.concatenate([s.token_ids for s in seqs])
-            tokens = encode(ids, self.encoder, mask=token_mask, training=training, rng=rng)
+            tokens = encode(
+                ids, self.encoder, mask=token_mask, rng=rng,
+                attn_dropout=self.config.attention_dropout, hidden_dropout=self.config.hidden_dropout,
+            )
         if embeddings is not None:
             author = self._author_rows(embeddings, graph, seqs)
 
-        if self.ablation == "no_attention_layer":
+        if self.config.ablation == "no_attention_layer":
             pooled = []
             if tokens is not None:
                 pooled.append(pool_rows(tokens, token_mask))
@@ -167,13 +160,10 @@ class DetectionModel:
             if tokens is not None:
                 mask[:, : token_mask.shape[1]] = token_mask
             x = add_position_encoding(x, lengths if tokens is not None else 0)
-            x = fuse_attention(
-                x, self.fusion, mask=mask, training=training, rng=rng,
-                attn_dropout=self.config.attention_dropout,
-            )
+            x = fuse_attention(x, self.fusion, mask=mask, rng=rng, attn_dropout=self.config.attention_dropout)
         return classify(
-            x, self.fusion, mask=mask, training=training, rng=rng,
-            hidden_dropout=self.config.hidden_dropout, pooling=self.pooling,
+            x, self.fusion, mask=mask, rng=rng,
+            hidden_dropout=self.config.hidden_dropout, pooling=self.config.pooling,
         )
 
     def predict(self, seqs: list[TokenSequence], graph: SocialGraph) -> np.ndarray:

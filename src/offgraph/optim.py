@@ -11,22 +11,11 @@ from .tensor import Tensor
 __all__ = ["xavier_normal_init", "Adam", "zero_grads"]
 
 
-def _as_rng(rng_seed) -> np.random.Generator:
-    if isinstance(rng_seed, np.random.Generator):
-        return rng_seed
-    return np.random.default_rng(rng_seed)
-
-
-def xavier_normal_init(fan_in: int, fan_out: int, rng_seed) -> Tensor:
-    """Trainable [fan_in, fan_out] matrix, entries N(0, 2 / (fan_in + fan_out)).
-
-    Deterministic for a fixed seed; also accepts a live Generator so callers
-    can initialize many parameters from one stream.
-    """
+def xavier_normal_init(fan_in: int, fan_out: int, rng: np.random.Generator) -> Tensor:
+    """Trainable [fan_in, fan_out] matrix, entries N(0, 2 / (fan_in + fan_out)), drawn from ``rng``."""
     if fan_in <= 0 or fan_out <= 0:
         raise ValueError(f"fans must be positive, got ({fan_in}, {fan_out})")
     std = math.sqrt(2.0 / (fan_in + fan_out))
-    rng = _as_rng(rng_seed)
     return Tensor(std * rng.standard_normal((fan_in, fan_out)), requires_grad=True)
 
 

@@ -13,8 +13,10 @@ Conventions:
   * ``backward()`` accumulates one analytic pass into ``.grad`` of the
     leaves only, the tensors no op produced (parameters and inputs);
     intermediate gradients are dropped as soon as they have been passed on.
-    The caller zeroes grads between steps,
-  * dropout uses inverted scaling, so evaluation mode is the identity.
+    The caller zeroes grads between steps (``optim.zero_grads``),
+  * a function that draws random numbers takes a ``np.random.Generator``
+    and draws nothing without one: ``dropout`` with ``rng=None`` is the
+    identity, which is evaluation mode. Dropout uses inverted scaling.
 
 Batched sequences are ``[B, S, d]`` arrays. Products with a weight matrix
 flatten the leading axes into rows (one ``[B*S, d] @ [d, e]`` product);
@@ -90,9 +92,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(()))
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def backward(self) -> None:
         """Populate ``.grad`` for every requires-grad leaf reachable from here.
@@ -490,19 +489,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _make(normed * gain.data + bias.data, (x, gain, bias), backward)
 
 
-def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | int | None = None) -> Tensor:
+def dropout(x: Tensor, rate: float, rng: np.random.Generator | None = None) -> Tensor:
     """Inverted dropout: zero with probability ``rate`` and rescale survivors.
 
-    Evaluation mode (``training=False``) is the exact identity.
+    Without ``rng`` (evaluation mode) it is the exact identity.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
+    if rng is None or rate == 0.0:
         return x
-    if rng is None:
-        raise ValueError("training-mode dropout needs an rng")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
     scale = (rng.random(x.shape) >= rate) / (1.0 - rate)
 
     def backward(g):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -31,14 +31,13 @@ from .graph import (
     build_graph,
     graph_from_dict,
     graph_to_dict,
-    mask_test_information,
+    mask_test_information,  # not called by fit; perfbench patches this name, tests/test_bench_contract.py pins it
     with_node_features,
 )
 from .losses import FocalParams, focal_loss_tensor
 from .metrics import MetricsReport, metrics_report
 from .model import ABLATIONS, DetectionModel
 from .optim import Adam, zero_grads
-from .tensor import Tensor
 
 __all__ = [
     "TrainConfig",
@@ -267,9 +266,8 @@ def fit(config: TrainConfig, corpus: Corpus) -> TrainedRun:
     split = split_corpus(corpus, config.train_fraction, _stream(config.seed, 0), config.stratify_split)
     _check_split(split)
     vocab = build_vocab(split.train, config.vocab_min_freq, config.vocab_max_size)
-    graph = build_graph(corpus)
-    graph = with_node_features(graph, split.train, config.graph_variant, config.init_strategy, vocab)
-    graph = mask_test_information(graph, split, vocab)
+    # features from the training tweets only: this is the test-information mask
+    graph = with_node_features(build_graph(corpus), split.train, config.graph_variant, config.init_strategy, vocab)
 
     model = DetectionModel(config, len(vocab), _feature_dim(config.graph_variant, vocab), _stream(config.seed, 1))
     train_seqs, test_seqs = _encode_split(split, vocab, config.max_len)
@@ -292,10 +290,10 @@ def fit(config: TrainConfig, corpus: Corpus) -> TrainedRun:
     for epoch in range(1, config.max_epochs + 1):
         epochs_run = epoch
         epoch_losses = []
-        for batch in batches(train_seqs, config.batch_size, shuffle_rng, shuffle=True):
+        for batch in batches(train_seqs, config.batch_size, shuffle_rng):
             zero_grads(all_params)
-            embeddings = model.user_embeddings(graph, training=True, rng=dropout_rng)
-            probs = model.forward_batch(batch, graph, embeddings, training=True, rng=dropout_rng)
+            embeddings = model.user_embeddings(graph, rng=dropout_rng)
+            probs = model.forward_batch(batch, graph, embeddings, rng=dropout_rng)
             loss = focal_loss_tensor(probs, [s.label for s in batch], focal)
             value = loss.item()
             if not np.isfinite(value):

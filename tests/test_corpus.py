@@ -85,42 +85,42 @@ def test_roundtrip_preserves_unicode(tmp_path):
 
 def test_split_seven_three():
     corpus = Corpus(tweets=[_tweet(i) for i in range(10)], edges=[])
-    split = split_corpus(corpus, 0.7, rng_seed=0)
+    split = split_corpus(corpus, 0.7, np.random.default_rng(0))
     assert (len(split.train), len(split.test)) == (7, 3)
 
 
 def test_split_deterministic():
     corpus = Corpus(tweets=[_tweet(i) for i in range(50)], edges=[])
-    a = split_corpus(corpus, 0.7, rng_seed=4)
-    b = split_corpus(corpus, 0.7, rng_seed=4)
+    a = split_corpus(corpus, 0.7, np.random.default_rng(4))
+    b = split_corpus(corpus, 0.7, np.random.default_rng(4))
     assert a.train_ids == b.train_ids
 
 
 def test_split_sparse_fraction_arithmetic():
     corpus = Corpus(tweets=[_tweet(i) for i in range(12780)], edges=[])
-    split = split_corpus(corpus, 0.1, rng_seed=1)
+    split = split_corpus(corpus, 0.1, np.random.default_rng(1))
     assert len(split.train) == 1278
 
 
 def test_split_disjoint_union():
     corpus = Corpus(tweets=[_tweet(i) for i in range(33)], edges=[])
-    split = split_corpus(corpus, 0.4, rng_seed=9)
+    split = split_corpus(corpus, 0.4, np.random.default_rng(9))
     assert split.train_ids & split.test_ids == set()
     assert split.train_ids | split.test_ids == {t.tweet_id for t in corpus.tweets}
 
 
 def test_split_stratified_keeps_ratio():
     tweets = [_tweet(i, label=int(i < 20)) for i in range(100)]
-    split = split_corpus(Corpus(tweets=tweets, edges=[]), 0.7, rng_seed=0, stratify=True)
+    split = split_corpus(Corpus(tweets=tweets, edges=[]), 0.7, np.random.default_rng(0), stratify=True)
     assert sum(t.label for t in split.train) == 14
     assert sum(t.label for t in split.test) == 6
 
 
 def test_split_rejects_empty_and_bad_fraction():
     with pytest.raises(ValueError):
-        split_corpus(Corpus(tweets=[], edges=[]), 0.7)
+        split_corpus(Corpus(tweets=[], edges=[]), 0.7, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        split_corpus(Corpus(tweets=[_tweet(1)], edges=[]), 1.0)
+        split_corpus(Corpus(tweets=[_tweet(1)], edges=[]), 1.0, np.random.default_rng(0))
 
 
 # -- vocabulary and encoding ---------------------------------------------------
@@ -199,7 +199,7 @@ def test_batches_eval_order_fixed():
 
 def test_batches_shuffle_covers_exactly_once():
     items = list(range(101))
-    seen = [x for b in batches(items, 8, rng_seed=3, shuffle=True) for x in b]
+    seen = [x for b in batches(items, 8, np.random.default_rng(3)) for x in b]
     assert Counter(seen) == Counter(items)
     assert seen != items
 
@@ -207,8 +207,8 @@ def test_batches_shuffle_covers_exactly_once():
 def test_batches_fresh_order_per_epoch():
     rng = np.random.default_rng(5)
     items = list(range(64))
-    first = [x for b in batches(items, 16, rng_seed=rng, shuffle=True) for x in b]
-    second = [x for b in batches(items, 16, rng_seed=rng, shuffle=True) for x in b]
+    first = [x for b in batches(items, 16, rng) for x in b]
+    second = [x for b in batches(items, 16, rng) for x in b]
     assert first != second
 
 

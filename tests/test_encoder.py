@@ -105,7 +105,7 @@ def test_single_block_matches_hand_rolled_oracle():
 
 def test_gradient_reaches_every_parameter(params):
     ids = np.array([1, 4, 9, 2, 11])
-    out = encode(ids, params, training=False)
+    out = encode(ids, params)
     out.sum().backward()
     for name, tensor in params.named().items():
         assert tensor.grad is not None, f"no gradient on {name}"
@@ -129,5 +129,5 @@ def test_encoder_gradients_match_finite_differences():
 def test_training_mode_applies_dropout(params):
     ids = np.array([1, 2, 3, 4])
     plain = encode(ids, params).data
-    dropped = encode(ids, params, training=True, rng=np.random.default_rng(0)).data
+    dropped = encode(ids, params, rng=np.random.default_rng(0), attn_dropout=0.5, hidden_dropout=0.1).data
     assert not np.allclose(plain, dropped)

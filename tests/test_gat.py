@@ -137,8 +137,8 @@ def test_attention_dropout_only_in_training():
     rng = np.random.default_rng(0)
     params = GatParams.init(2, 2, 4, rng)
     x = Tensor(rng.normal(size=(2, 2)))
-    eval_a = gat_forward(x, g, params, training=False)
-    eval_b = gat_forward(x, g, params, training=False)
+    eval_a = gat_forward(x, g, params)
+    eval_b = gat_forward(x, g, params)
     assert np.array_equal(eval_a.data, eval_b.data)
-    train = gat_forward(x, g, params, training=True, rng=np.random.default_rng(1))
+    train = gat_forward(x, g, params, rng=np.random.default_rng(1), attn_dropout=0.5)
     assert not np.array_equal(train.data, eval_a.data)

@@ -177,7 +177,7 @@ def test_soft_avg_init_uses_training_means():
 
 def test_soft_total_conservation():
     corpus = generate_corpus(500, 60, seed=2)
-    split = split_corpus(corpus, 0.7, rng_seed=0)
+    split = split_corpus(corpus, 0.7, np.random.default_rng(0))
     g = build_graph(corpus)
     feats = soft_features(g, split.train, init_strategy="all0")
     non_off = sum(1 for t in split.train if t.label == 0)
@@ -212,7 +212,7 @@ def test_bow_union_of_tweets():
 
 def test_masking_matches_recompute_oracle():
     corpus = generate_corpus(400, 50, seed=5)
-    split = split_corpus(corpus, 0.7, rng_seed=1)
+    split = split_corpus(corpus, 0.7, np.random.default_rng(1))
     g = with_node_features(build_graph(corpus), corpus.tweets, "soft", "nonoff")
     masked = mask_test_information(g, split)
 
@@ -230,7 +230,7 @@ def test_masking_matches_recompute_oracle():
 
 def test_masking_keeps_structure():
     corpus = generate_corpus(200, 30, seed=6)
-    split = split_corpus(corpus, 0.5, rng_seed=2)
+    split = split_corpus(corpus, 0.5, np.random.default_rng(2))
     g = with_node_features(build_graph(corpus), corpus.tweets, "soft")
     masked = mask_test_information(g, split)
     assert np.array_equal(masked.arcs, g.arcs)
@@ -243,7 +243,7 @@ def test_test_only_user_gets_init_not_counts():
         edges=[("a", "b")],
     )
     g = with_node_features(build_graph(corpus), corpus.tweets, "soft")
-    split = split_corpus(corpus, 0.5, rng_seed=0)
+    split = split_corpus(corpus, 0.5, np.random.default_rng(0))
     only_test = [u for u in g.nodes if u not in {t.user_id for t in split.train}]
     masked = mask_test_information(g, split)
     for u in only_test:
@@ -255,7 +255,7 @@ def test_test_only_user_gets_init_not_counts():
 
 def test_graph_json_roundtrip():
     corpus = generate_corpus(150, 25, seed=9)
-    split = split_corpus(corpus, 0.7, rng_seed=3)
+    split = split_corpus(corpus, 0.7, np.random.default_rng(3))
     g = with_node_features(build_graph(corpus), split.train, "soft", "all1")
     back = graph_from_json(graph_to_json(g))
     assert back.nodes == g.nodes

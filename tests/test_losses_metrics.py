@@ -119,6 +119,40 @@ def test_auc_rank_formula_equals_pairwise_oracle():
         assert abs(auc_score(scores, labels) - _pairwise_auc(scores, labels)) <= 1e-12
 
 
+def _loop_rank_auc(scores, labels):
+    """The per-score mid-rank walk ``auc_score`` used before it grouped ties with ``np.unique``."""
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels)
+    num_pos, num_neg = int(np.sum(y == 1)), int(np.sum(y == 0))
+    order = np.argsort(s, kind="mergesort")
+    ranks = np.empty(len(s))
+    i = 0
+    while i < len(s):
+        j = i
+        while j + 1 < len(s) and s[order[j + 1]] == s[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return float((ranks[y == 1].sum() - num_pos * (num_pos + 1) / 2.0) / (num_pos * num_neg))
+
+
+def test_auc_equals_the_loop_reference_bit_for_bit():
+    rng = np.random.default_rng(4)
+    for k in range(300):
+        n = int(rng.integers(2, 200))
+        levels = int(rng.integers(1, 12))
+        scores = rng.integers(0, levels, n) / levels if k % 2 else rng.random(n)
+        labels = rng.integers(0, 2, n)
+        labels[:2] = (0, 1)
+        assert auc_score(scores, labels) == _loop_rank_auc(scores, labels)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_auc_rejects_non_finite_scores(bad):
+    with pytest.raises(ValueError, match="1 of 4 are NaN or infinite"):
+        auc_score([0.1, bad, 0.3, 0.7], [0, 1, 0, 1])
+
+
 # -- macro metrics -----------------------------------------------------------------
 
 

@@ -3,20 +3,21 @@
 import numpy as np
 import pytest
 
+from offgraph import attention, encoder, fusion, gat
 from offgraph.corpus import TokenSequence, build_vocab, encode, split_corpus
 from offgraph.encoder import encode as encode_tokens
 from offgraph.fusion import add_position_encoding, assemble, classify, fuse_attention
 from offgraph.graph import build_graph, with_node_features
 from offgraph.model import ABLATIONS, DetectionModel
 from offgraph.synthetic import generate_corpus
-from offgraph.tensor import concat, gather_rows, no_grad, reshape
+from offgraph.tensor import concat, dropout, gather_rows, no_grad, reshape
 from offgraph.training import TrainConfig
 
 
 @pytest.fixture(scope="module")
 def setting():
     corpus = generate_corpus(120, 20, seed=4)
-    split = split_corpus(corpus, 0.7, rng_seed=0)
+    split = split_corpus(corpus, 0.7, np.random.default_rng(0))
     vocab = build_vocab(split.train)
     graph = with_node_features(build_graph(corpus), split.train, "soft", "nonoff")
     seqs = [encode(t, vocab, 24) for t in split.test[:6]]
@@ -167,7 +168,7 @@ def _tweet_probability(model, seq, author_index, embeddings):
     if model.gat is not None:
         rows = model.gat.num_heads + (model.gat.residual_proj is not None)
         author = reshape(gather_rows(embeddings, np.array([author_index])), (rows, model.gat.head_dim))
-    if model.ablation == "no_attention_layer":
+    if model.config.ablation == "no_attention_layer":
         pooled = []
         if tokens is not None:
             pooled.append(tokens.mean(axis=0, keepdims=True))
@@ -178,7 +179,7 @@ def _tweet_probability(model, seq, author_index, embeddings):
         x = assemble(tokens, author, model.fusion)
         num_tokens = 0 if tokens is None else tokens.shape[0]
         x = fuse_attention(add_position_encoding(x, num_tokens), model.fusion)
-    return classify(x, model.fusion, pooling=model.pooling).item()
+    return classify(x, model.fusion, pooling=model.config.pooling).item()
 
 
 @pytest.mark.parametrize("pooling", ["mean", "cls"])
@@ -206,6 +207,36 @@ def test_predict_scores_off_the_tape_bit_identically(setting):
     assert not off_tape.requires_grad
     assert np.array_equal(off_tape.data, on_tape.data)
     assert np.array_equal(model.predict(seqs, graph), on_tape.data)
+
+
+def test_training_pass_drops_out_at_the_config_rates_in_order(setting, monkeypatch):
+    _, _, graph, seqs = setting
+    attn, hidden = 0.3, 0.2
+    model, _ = _model(setting, attention_dropout=attn, hidden_dropout=hidden, encoder_layers=2)
+    rng = np.random.default_rng(0)
+    calls, generators = [], []
+
+    def record(x, rate, gen=None):
+        calls.append((rate, x.shape))
+        generators.append(gen)
+        return dropout(x, rate, gen)
+
+    for module in (gat, attention, encoder, fusion):
+        monkeypatch.setattr(module, "dropout", record)
+    model.forward_batch(seqs, graph, model.user_embeddings(graph, rng=rng), rng=rng)
+
+    cfg = model.config
+    edges = len(graph.edge_arrays()[0])
+    batch, length = len(seqs), max(len(s) for s in seqs)
+    fused = length + cfg.gat_heads + 1  # token slots, head rows, residual row
+    tokens = (hidden, (batch, length, cfg.d_model))
+    block = [(attn, (batch, cfg.encoder_heads, length, length)), tokens, tokens]
+    want = [(attn, (edges,))] * cfg.gat_heads + [tokens] + block * cfg.encoder_layers
+    want += [(attn, (batch, cfg.fusion_heads, fused, fused)), (hidden, (batch, fused, cfg.d_ff))]
+    assert calls == want
+    assert all(g is rng for g in generators)
+    without_rng = model.forward_batch(seqs, graph, model.user_embeddings(graph, rng=None), rng=None)
+    assert np.array_equal(without_rng.data, model.predict(seqs, graph))
 
 
 def test_predict_on_no_tweets_is_empty(setting):

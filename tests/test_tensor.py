@@ -219,12 +219,12 @@ def test_layer_norm_statistics_and_shift_invariance():
 
 def test_dropout_eval_mode_is_identity():
     x = Tensor(np.arange(6.0).reshape(2, 3))
-    assert T.dropout(x, 0.5, training=False) is x
+    assert T.dropout(x, 0.5) is x
 
 
 def test_dropout_training_mask_and_scale():
     x = Tensor(np.ones((200, 50)), requires_grad=True)
-    y = T.dropout(x, 0.5, training=True, rng=np.random.default_rng(0))
+    y = T.dropout(x, 0.5, rng=np.random.default_rng(0))
     values = np.unique(y.data)
     assert set(values.tolist()) <= {0.0, 2.0}
     assert abs(y.data.mean() - 1.0) < 0.05
@@ -234,11 +234,11 @@ def test_dropout_training_mask_and_scale():
 
 def test_dropout_rejects_bad_rate():
     with pytest.raises(ValueError):
-        T.dropout(Tensor([1.0]), 1.0, training=True, rng=0)
+        T.dropout(Tensor([1.0]), 1.0, rng=np.random.default_rng(0))
 
 
 def test_dropout_reproducible_for_fixed_seed():
     x = Tensor(np.ones((8, 8)))
-    a = T.dropout(x, 0.3, training=True, rng=np.random.default_rng(123))
-    b = T.dropout(x, 0.3, training=True, rng=np.random.default_rng(123))
+    a = T.dropout(x, 0.3, rng=np.random.default_rng(123))
+    b = T.dropout(x, 0.3, rng=np.random.default_rng(123))
     assert np.array_equal(a.data, b.data)
