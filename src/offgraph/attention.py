@@ -19,7 +19,7 @@ def multi_head_attention(
     wo: Tensor,
     num_heads: int,
     *,
-    mask: np.ndarray | None = None,
+    mask: np.ndarray,
     bq: Tensor | None = None,
     bk: Tensor | None = None,
     bv: Tensor | None = None,
@@ -27,20 +27,16 @@ def multi_head_attention(
     rng: np.random.Generator | None = None,
     attn_dropout: float = 0.0,
 ) -> Tensor:
-    """Self-attention over the rows of ``x``; output has the same shape.
+    """Self-attention over the rows of each sequence; output has the same shape.
 
-    ``x`` is one sequence [S, d] or a padded batch [B, S, d] with ``mask``
-    [B, S] marking its real rows (``None``: all real). Padded rows are never
-    attended to; their own outputs are computed but meaningless. The packed
-    Q/K/V projections split into heads by a reshape to [B, H, S, d_k]; each
-    head scores with 1/sqrt(d_k) scaling and softmax-normalizes per query
-    row, and the concatenated head outputs pass through the output
-    projection. Dropout at ``attn_dropout`` is applied to the attention
-    probabilities when ``rng`` is given.
+    ``x`` is a padded batch [B, S, d] whose real rows ``mask`` [B, S] marks.
+    Padded rows are never attended to; their own outputs are computed but
+    meaningless. The packed Q/K/V projections split into heads by a reshape
+    to [B, H, S, d_k]; each head scores with 1/sqrt(d_k) scaling and
+    softmax-normalizes per query row, and the concatenated head outputs pass
+    through the output projection. Dropout at ``attn_dropout`` is applied to
+    the attention probabilities when ``rng`` is given.
     """
-    single = x.ndim == 2
-    if single:
-        x = reshape(x, (1,) + x.shape)
     batch, length, d_model = x.shape
     if d_model % num_heads:
         raise ValueError(f"width {d_model} not divisible by {num_heads} heads")
@@ -54,11 +50,11 @@ def multi_head_attention(
     k_t = heads(wk, bk, (0, 2, 3, 1))  # [B, H, d_k, S]
     v = heads(wv, bv, (0, 2, 1, 3))
     scores = batched_matmul(q, k_t) * Tensor(1.0 / math.sqrt(d_k))
-    key_mask = None if mask is None else np.where(mask, 0.0, -np.inf)[:, None, None, :]  # [B, 1, 1, S]
+    key_mask = np.where(mask, 0.0, -np.inf)[:, None, None, :]  # [B, 1, 1, S]
     probs = dropout(softmax(scores, axis=-1, mask=key_mask), attn_dropout, rng)
 
     mixed = transpose(batched_matmul(probs, v), (0, 2, 1, 3))  # [B, S, H, d_k]
     out = matmul(reshape(mixed, (batch, length, d_model)), wo)
     if bo is not None:
         out = out + bo
-    return reshape(out, (length, d_model)) if single else out
+    return out

@@ -2,12 +2,11 @@
 
 Token ids go through learned token and position embeddings, then a stack of
 self-attention blocks; the last block's hidden states come back as one
-embedding row per token (no pooling here). One sequence runs as [M, d_model]
-rows; a batch runs as one padded [B, S, d_model] computation with a validity
-mask, so padding never reaches a real token. Blocks are pre-norm, which
-trains more stably at small widths than BERT's post-norm layout (Xiong et
-al. 2020, arXiv 2002.04745). Trained jointly with the rest of the model,
-from scratch.
+embedding row per token (no pooling here). A batch runs as one padded
+[B, S, d_model] computation with a [B, S] validity mask, so padding never
+reaches a real token. Blocks are pre-norm, which trains more stably at small
+widths than BERT's post-norm layout (Xiong et al. 2020, arXiv 2002.04745).
+Trained jointly with the rest of the model, from scratch.
 """
 
 from __future__ import annotations
@@ -17,19 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import multi_head_attention
-from .corpus import TokenSequence
-from .optim import xavier_normal_init
+from .optim import named_tensors, ones_init, xavier_normal_init, zeros_init
 from .tensor import Tensor, dropout, gather_rows, layer_norm, matmul, relu
 
 __all__ = ["EncoderBlockParams", "EncoderParams", "self_attention_block", "encode"]
-
-
-def _ones(n):
-    return Tensor(np.ones(n), requires_grad=True)
-
-
-def _zeros(n):
-    return Tensor(np.zeros(n), requires_grad=True)
 
 
 @dataclass
@@ -54,24 +44,21 @@ class EncoderBlockParams:
     @classmethod
     def init(cls, d_model: int, d_ff: int, rng: np.random.Generator) -> "EncoderBlockParams":
         return cls(
-            ln1_gain=_ones(d_model), ln1_bias=_zeros(d_model),
+            ln1_gain=ones_init(d_model), ln1_bias=zeros_init(d_model),
             wq=xavier_normal_init(d_model, d_model, rng),
             wk=xavier_normal_init(d_model, d_model, rng),
             wv=xavier_normal_init(d_model, d_model, rng),
             wo=xavier_normal_init(d_model, d_model, rng),
-            bq=_zeros(d_model), bk=_zeros(d_model), bv=_zeros(d_model), bo=_zeros(d_model),
-            ln2_gain=_ones(d_model), ln2_bias=_zeros(d_model),
+            bq=zeros_init(d_model), bk=zeros_init(d_model), bv=zeros_init(d_model), bo=zeros_init(d_model),
+            ln2_gain=ones_init(d_model), ln2_bias=zeros_init(d_model),
             ffn_w1=xavier_normal_init(d_model, d_ff, rng),
-            ffn_b1=_zeros(d_ff),
+            ffn_b1=zeros_init(d_ff),
             ffn_w2=xavier_normal_init(d_ff, d_model, rng),
-            ffn_b2=_zeros(d_model),
+            ffn_b2=zeros_init(d_model),
         )
 
     def named(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.{name}": getattr(self, name) for name in (
-            "ln1_gain", "ln1_bias", "wq", "wk", "wv", "wo", "bq", "bk", "bv", "bo",
-            "ln2_gain", "ln2_bias", "ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2",
-        )}
+        return named_tensors(self, prefix)
 
 
 @dataclass
@@ -100,8 +87,6 @@ class EncoderParams:
         d_ff: int,
         rng: np.random.Generator,
     ) -> "EncoderParams":
-        if d_model % num_heads:
-            raise ValueError("d_model must divide evenly across heads")
         return cls(
             token_table=xavier_normal_init(vocab_size, d_model, rng),
             pos_table=xavier_normal_init(max_len, d_model, rng),
@@ -110,7 +95,7 @@ class EncoderParams:
         )
 
     def named(self, prefix: str = "encoder") -> dict[str, Tensor]:
-        out = {f"{prefix}.token_table": self.token_table, f"{prefix}.pos_table": self.pos_table}
+        out = named_tensors(self, prefix)
         for i, block in enumerate(self.blocks):
             out.update(block.named(f"{prefix}.block{i}"))
         return out
@@ -121,12 +106,12 @@ def self_attention_block(
     block: EncoderBlockParams,
     num_heads: int,
     *,
-    mask: np.ndarray | None = None,
+    mask: np.ndarray,
     rng: np.random.Generator | None = None,
     attn_dropout: float = 0.0,
     hidden_dropout: float = 0.0,
 ) -> Tensor:
-    """One pre-norm residual attention + feed-forward block over [M, d] or masked [B, S, d] rows."""
+    """One pre-norm residual attention + feed-forward block over padded [B, S, d] rows."""
     attended = multi_head_attention(
         layer_norm(x, block.ln1_gain, block.ln1_bias), block.wq, block.wk, block.wv, block.wo, num_heads,
         mask=mask, bq=block.bq, bk=block.bk, bv=block.bv, bo=block.bo,
@@ -138,32 +123,31 @@ def self_attention_block(
 
 
 def encode(
-    tokens: TokenSequence | np.ndarray,
+    ids: np.ndarray,
     params: EncoderParams,
     *,
-    mask: np.ndarray | None = None,
+    mask: np.ndarray,
     rng: np.random.Generator | None = None,
     attn_dropout: float = 0.0,
     hidden_dropout: float = 0.0,
 ) -> Tensor:
-    """Last-layer hidden states, one row per token.
+    """Last-layer hidden states [B, S, d_model], one row per token slot.
 
-    ``tokens`` is one sequence of ids (giving [M, d_model]) or a padded
-    [B, S] id array (giving [B, S, d_model]) whose real tokens ``mask``
-    [B, S] marks; every sequence needs at least one. With ``rng``, dropout
-    hits the embeddings and each block's outputs at ``hidden_dropout`` and
-    the attention probabilities at ``attn_dropout``.
+    ``ids`` is a padded [B, S] id array whose real tokens ``mask`` [B, S]
+    marks; every sequence needs at least one. With ``rng``, dropout hits the
+    embeddings and each block's outputs at ``hidden_dropout`` and the
+    attention probabilities at ``attn_dropout``.
     """
-    ids = np.asarray(tokens.token_ids if isinstance(tokens, TokenSequence) else tokens, dtype=np.int64)
-    if ids.ndim not in (1, 2) or ids.shape[-1] == 0:
-        raise ValueError("token ids must be a non-empty 1-D sequence or a [B, S] batch")
-    if mask is not None and (mask.shape != ids.shape or not mask.any(axis=-1).all()):
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.ndim != 2 or ids.shape[1] == 0:
+        raise ValueError("token ids must be a non-empty [B, S] batch")
+    if mask.shape != ids.shape or not mask.any(axis=-1).all():
         raise ValueError("the mask must match the ids and keep a token in every sequence")
-    if ids.shape[-1] > params.max_len:
-        raise ValueError(f"sequence length {ids.shape[-1]} exceeds max_len {params.max_len}")
+    if ids.shape[1] > params.max_len:
+        raise ValueError(f"sequence length {ids.shape[1]} exceeds max_len {params.max_len}")
     if ids.min() < 0 or ids.max() >= params.token_table.shape[0]:
         raise ValueError("token id out of vocabulary range")
-    x = gather_rows(params.token_table, ids) + gather_rows(params.pos_table, np.arange(ids.shape[-1]))
+    x = gather_rows(params.token_table, ids) + gather_rows(params.pos_table, np.arange(ids.shape[1]))
     x = dropout(x, hidden_dropout, rng)
     for block in params.blocks:
         x = self_attention_block(

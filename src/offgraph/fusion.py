@@ -12,10 +12,10 @@ with a residual link and a second layer normalization, then a row-wise
 ReLU-first feed-forward layer; the rows are mean-pooled and squashed through
 a logistic unit into P(offensive).
 
-Every function takes one tweet's rows [T, d] or a batch [B, T, d]. A batch
-lays each tweet out as [its tokens, padded to the batch's S slots | its user
-rows], with a [B, T] mask marking the real rows; per-tweet token counts
-place the user rows' shared position, and pooling averages real rows only.
+Every function takes a padded batch [B, T, d]. It lays each tweet out as
+[its tokens, padded to the batch's S slots | its user rows], with a [B, T]
+mask marking the real rows; per-tweet token counts place the user rows'
+shared position, and pooling averages real rows only.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import multi_head_attention
-from .optim import xavier_normal_init
+from .optim import named_tensors, ones_init, xavier_normal_init, zeros_init
 from .tensor import (
     Tensor,
     concat,
@@ -80,44 +80,29 @@ class FusionParams:
         with_attention: bool = True,
         ffn_in: int | None = None,
     ) -> "FusionParams":
-        def ones(n):
-            return Tensor(np.ones(n), requires_grad=True)
-
-        def zeros(n):
-            return Tensor(np.zeros(n), requires_grad=True)
-
         has_gat = gat_head_dim is not None
         return cls(
             head_adapter=xavier_normal_init(gat_head_dim, d_model, rng) if has_gat else None,
             residual_adapter=(
                 xavier_normal_init(gat_head_dim, d_model, rng) if has_gat and with_residual_row else None
             ),
-            ln1_gain=ones(d_model) if with_attention else None,
-            ln1_bias=zeros(d_model) if with_attention else None,
+            ln1_gain=ones_init(d_model) if with_attention else None,
+            ln1_bias=zeros_init(d_model) if with_attention else None,
             wq=xavier_normal_init(d_model, d_model, rng) if with_attention else None,
             wk=xavier_normal_init(d_model, d_model, rng) if with_attention else None,
             wv=xavier_normal_init(d_model, d_model, rng) if with_attention else None,
             wo=xavier_normal_init(d_model, d_model, rng) if with_attention else None,
-            ln2_gain=ones(d_model) if with_attention else None,
-            ln2_bias=zeros(d_model) if with_attention else None,
+            ln2_gain=ones_init(d_model) if with_attention else None,
+            ln2_bias=zeros_init(d_model) if with_attention else None,
             ffn_w=xavier_normal_init(ffn_in or d_model, d_ff, rng),
-            ffn_b=zeros(d_ff),
+            ffn_b=zeros_init(d_ff),
             clf_w=xavier_normal_init(d_ff, 1, rng),
-            clf_b=zeros(1),
+            clf_b=zeros_init(1),
             num_heads=num_heads,
         )
 
     def named(self, prefix: str = "fusion") -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for name in (
-            "head_adapter", "residual_adapter", "ln1_gain", "ln1_bias",
-            "wq", "wk", "wv", "wo", "ln2_gain", "ln2_bias",
-            "ffn_w", "ffn_b", "clf_w", "clf_b",
-        ):
-            tensor = getattr(self, name)
-            if tensor is not None:
-                out[f"{prefix}.{name}"] = tensor
-        return out
+        return named_tensors(self, prefix)
 
 
 def sinusoidal_encoding(positions, dim: int) -> np.ndarray:
@@ -138,11 +123,10 @@ def assemble(
 ) -> Tensor:
     """Stack token rows, adapted head rows, and the adapted residual row.
 
-    ``author_rows`` is the author's graph embedding reshaped to one row per
-    head (the residual row last when present), [R, head_dim] or
-    [B, R, head_dim]. The token rows (M, or the padded S of a batch) come
-    first. Either side may be absent (the corresponding ablations drop it),
-    but not both.
+    ``author_rows`` is each author's graph embedding reshaped to one row per
+    head (the residual row last when present), [B, R, head_dim]. The padded
+    token rows [B, S, d] come first. Either side may be absent (the
+    corresponding ablations drop it), but not both.
     """
     parts: list[Tensor] = []
     if token_embeddings is not None:
@@ -161,15 +145,14 @@ def assemble(
     return concat(parts, axis=-2)
 
 
-def add_position_encoding(x: Tensor, num_tokens) -> Tensor:
+def add_position_encoding(x: Tensor, num_tokens: np.ndarray) -> Tensor:
     """Tokens get positions 0..M-1; every user row shares the encoding for M.
 
-    ``num_tokens`` is M, shared by every sequence, or the per-tweet counts
-    [B] of a batch [B, T, d]. Row j sits at position min(j, M), which also
-    covers a batch's padded token slots; those are masked, so their
-    position is moot.
+    ``num_tokens`` holds each tweet's token count M, [B] for the batch
+    [B, T, d]. Row j sits at position min(j, M), which also covers the padded
+    token slots; those are masked, so their position is moot.
     """
-    positions = np.minimum(np.arange(x.shape[-2]), np.asarray(num_tokens)[..., None])
+    positions = np.minimum(np.arange(x.shape[1]), num_tokens[:, None])
     table = sinusoidal_encoding(positions.reshape(-1), x.shape[-1])
     return x + Tensor(table.reshape(positions.shape + (x.shape[-1],)))
 
@@ -178,11 +161,11 @@ def fuse_attention(
     x: Tensor,
     params: FusionParams,
     *,
-    mask: np.ndarray | None = None,
+    mask: np.ndarray,
     rng: np.random.Generator | None = None,
     attn_dropout: float = 0.0,
 ) -> Tensor:
-    """Layer norm, multi-head attention, residual link, second layer norm."""
+    """Layer norm, multi-head attention over ``mask``'s rows, residual link, second layer norm."""
     normed = layer_norm(x, params.ln1_gain, params.ln1_bias)
     attended = multi_head_attention(
         normed, params.wq, params.wk, params.wv, params.wo, params.num_heads, mask=mask,
@@ -192,7 +175,7 @@ def fuse_attention(
 
 
 def pool_rows(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Mean over the row axis, keeping it: [T, d] -> [1, d], [B, T, d] -> [B, 1, d].
+    """Mean over the row axis, keeping it: [B, T, d] -> [B, 1, d].
 
     With ``mask`` [B, T] only the rows it keeps count.
     """
@@ -213,8 +196,8 @@ def classify(
 ) -> Tensor:
     """Row-wise ReLU-then-linear feed-forward, pooling, logistic probability.
 
-    One tweet [T, d] gives shape [1]; a batch [B, T, d] gives [B]. Mean
-    pooling averages the rows ``mask`` [B, T] keeps; ``cls`` takes row 0.
+    A batch [B, T, d] gives shape [B]. Mean pooling averages the rows
+    ``mask`` [B, T] keeps (all rows without one); ``cls`` takes row 0.
     """
     hidden = matmul(relu(x), params.ffn_w) + params.ffn_b
     hidden = dropout(hidden, hidden_dropout, rng)
@@ -225,4 +208,4 @@ def classify(
     else:
         raise ValueError(f"unknown pooling {pooling!r}; expected one of {POOLINGS}")
     logit = matmul(pooled, params.clf_w) + params.clf_b
-    return reshape(sigmoid(logit), x.shape[:-2] or (1,))
+    return reshape(sigmoid(logit), x.shape[:1])

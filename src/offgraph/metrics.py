@@ -63,6 +63,8 @@ def auc_score(scores, labels) -> float:
     """Rank-sum AUC with mid-rank ties; needs both classes present and finite scores."""
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
+    if s.size != y.size:
+        raise ValueError(f"AUC needs one score per label: {s.size} scores, {y.size} labels")
     num_pos = int(np.sum(y == 1))
     num_neg = int(np.sum(y == 0))
     if num_pos == 0 or num_neg == 0:

@@ -33,18 +33,13 @@ ABLATIONS = ("full", "no_gat", "no_encoder", "no_gat_residual", "single_head_gat
 
 class DetectionModel:
     def __init__(self, config, vocab_size: int, feature_dim: int, rng: np.random.Generator):
-        if config.ablation not in ABLATIONS:
-            raise ValueError(f"unknown ablation {config.ablation!r}; expected one of {ABLATIONS}")
-        self.config = config
+        self.config = config.validate()
 
         self.gat: GatParams | None = None
         if config.ablation != "no_gat":
             heads = 1 if config.ablation == "single_head_gat" else config.gat_heads
-            head_dim = config.gat_hidden // heads
-            if head_dim * heads != config.gat_hidden:
-                raise ValueError("gat_hidden must divide evenly across heads")
             self.gat = GatParams.init(
-                feature_dim, heads, head_dim, rng,
+                feature_dim, heads, config.gat_hidden // heads, rng,
                 with_residual=config.ablation != "no_gat_residual",
             )
 
@@ -135,6 +130,7 @@ class DetectionModel:
         if not seqs:
             raise ValueError("forward_batch needs at least one tweet")
         tokens = author = None
+        lengths = np.zeros(len(seqs), dtype=np.int64)  # token rows per tweet
         if self.encoder is not None:
             lengths = np.array([len(s) for s in seqs])
             token_mask = np.arange(lengths.max()) < lengths[:, None]
@@ -159,7 +155,7 @@ class DetectionModel:
             mask = np.ones(x.shape[:2], dtype=bool)
             if tokens is not None:
                 mask[:, : token_mask.shape[1]] = token_mask
-            x = add_position_encoding(x, lengths if tokens is not None else 0)
+            x = add_position_encoding(x, lengths)
             x = fuse_attention(x, self.fusion, mask=mask, rng=rng, attn_dropout=self.config.attention_dropout)
         return classify(
             x, self.fusion, mask=mask, rng=rng,

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["xavier_normal_init", "Adam", "zero_grads"]
+__all__ = ["xavier_normal_init", "ones_init", "zeros_init", "named_tensors", "Adam", "zero_grads"]
 
 
 def xavier_normal_init(fan_in: int, fan_out: int, rng: np.random.Generator) -> Tensor:
@@ -17,6 +18,26 @@ def xavier_normal_init(fan_in: int, fan_out: int, rng: np.random.Generator) -> T
         raise ValueError(f"fans must be positive, got ({fan_in}, {fan_out})")
     std = math.sqrt(2.0 / (fan_in + fan_out))
     return Tensor(std * rng.standard_normal((fan_in, fan_out)), requires_grad=True)
+
+
+def ones_init(n: int) -> Tensor:
+    """Trainable length-``n`` vector of ones (layer-norm gains)."""
+    return Tensor(np.ones(n), requires_grad=True)
+
+
+def zeros_init(n: int) -> Tensor:
+    """Trainable length-``n`` vector of zeros (biases)."""
+    return Tensor(np.zeros(n), requires_grad=True)
+
+
+def named_tensors(block, prefix: str) -> dict[str, Tensor]:
+    """``{prefix}.{field}`` for each field of the dataclass ``block`` holding a
+    tensor, in declaration order; fields that are ``None`` or not tensors are skipped."""
+    return {
+        f"{prefix}.{field.name}": value
+        for field in fields(block)
+        if isinstance(value := getattr(block, field.name), Tensor)
+    }
 
 
 BETA1 = 0.9

@@ -136,11 +136,12 @@ class TrainConfig:
 
 
 _BOOLS = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
+_NUMBERS = {"int": int, "float": float}
 
 
 def parse_config_file(path) -> TrainConfig:
     """Read a flat ``key = value`` file whose keys are TrainConfig fields."""
-    types = {f.name: f.type for f in fields(TrainConfig)}
+    types = {f.name: f.type for f in fields(TrainConfig)}  # type names: annotations are postponed
     values: dict = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -153,14 +154,15 @@ def parse_config_file(path) -> TrainConfig:
             if key not in types:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             kind = types[key]
-            if kind in ("bool", bool):
+            if kind == "bool":
                 if raw.lower() not in _BOOLS:
                     raise ValueError(f"{path}:{lineno}: bad boolean {raw!r}")
                 values[key] = _BOOLS[raw.lower()]
-            elif kind in ("int", int):
-                values[key] = int(raw)
-            elif kind in ("float", float):
-                values[key] = float(raw)
+            elif kind in _NUMBERS:
+                try:
+                    values[key] = _NUMBERS[kind](raw)
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: bad {kind} {raw!r} for {key}") from None
             else:
                 values[key] = raw
     return TrainConfig(**values).validate()
@@ -235,10 +237,6 @@ def _stream(seed: int, which: int) -> np.random.Generator:
     return np.random.default_rng([seed, which])
 
 
-def _feature_dim(variant: str, vocab: Vocab) -> int:
-    return {"soft": 2, "hard": 1, "bow": len(vocab)}[variant]
-
-
 def _encode_split(split: Split, vocab: Vocab, max_len: int):
     train = [encode(t, vocab, max_len) for t in split.train]
     test = [encode(t, vocab, max_len) for t in split.test]
@@ -269,7 +267,7 @@ def fit(config: TrainConfig, corpus: Corpus) -> TrainedRun:
     # features from the training tweets only: this is the test-information mask
     graph = with_node_features(build_graph(corpus), split.train, config.graph_variant, config.init_strategy, vocab)
 
-    model = DetectionModel(config, len(vocab), _feature_dim(config.graph_variant, vocab), _stream(config.seed, 1))
+    model = DetectionModel(config, len(vocab), graph.features.shape[1], _stream(config.seed, 1))
     train_seqs, test_seqs = _encode_split(split, vocab, config.max_len)
     focal = FocalParams(config.focal_alpha, config.focal_gamma)
 
@@ -330,15 +328,13 @@ def train(config: TrainConfig, corpus: Corpus) -> RunResult:
 
 
 def ablate(config: TrainConfig, variant: str, corpus: Corpus) -> RunResult:
-    if variant not in ABLATIONS:
-        raise ValueError(f"unknown ablation {variant!r}; expected one of {ABLATIONS}")
     return train(replace(config, ablation=variant), corpus)
 
 
 def run_ablation_table(config: TrainConfig, corpus: Corpus) -> list[dict]:
     """One row per ablation variant, full first."""
     rows = []
-    for variant in ("full",) + tuple(v for v in ABLATIONS if v != "full"):
+    for variant in ABLATIONS:
         result = ablate(config, variant, corpus)
         rows.append({"variant": variant, **result.best_metrics.to_dict()})
     return rows
@@ -448,10 +444,15 @@ class Checkpoint:
 def load_checkpoint(path) -> Checkpoint:
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
+    unknown = sorted(set(payload["config"]) - {f.name for f in fields(TrainConfig)})
+    if unknown:
+        raise ValueError(f"{path}: unknown config keys {unknown}")
     config = TrainConfig(**payload["config"]).validate()
     vocab = Vocab(tokens=list(payload["vocab"]))
     graph = graph_from_dict(payload["graph"])
-    model = DetectionModel(config, len(vocab), _feature_dim(config.graph_variant, vocab), _stream(config.seed, 1))
+    if graph.features is None:
+        raise ValueError(f"{path}: the checkpoint graph has no node features")
+    model = DetectionModel(config, len(vocab), graph.features.shape[1], _stream(config.seed, 1))
     arrays = {
         name: np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
         for name, entry in payload["params"].items()

@@ -14,7 +14,7 @@ import pytest
 
 from offgraph import tensor as T
 from offgraph.corpus import Corpus, build_vocab, encode, split_corpus
-from offgraph.fusion import add_position_encoding, assemble, classify, fuse_attention
+from offgraph.fusion import fuse_attention
 from offgraph.gat import GatParams, attention_coefficients, gat_forward
 from offgraph.graph import SocialGraph, build_graph, mask_test_information, with_node_features
 from offgraph.losses import FocalParams, focal_loss, focal_loss_tensor
@@ -174,18 +174,18 @@ def test_attention_normalization(attention_probs):
         np.add.at(sums, src, alpha.data)
         worst = max(worst, float(np.max(np.abs(sums - 1.0))))
 
-    from offgraph.encoder import EncoderParams, encode as encode_text
+    from offgraph.encoder import EncoderParams
 
     enc = EncoderParams.init(40, 16, 8, 2, 2, 16, rng)
     for block in enc.blocks:
         from offgraph.encoder import self_attention_block
 
-        self_attention_block(Tensor(rng.normal(size=(7, 8))), block, 2)
+        self_attention_block(Tensor(rng.normal(size=(1, 7, 8))), block, 2, mask=np.ones((1, 7), dtype=bool))
 
     from offgraph.fusion import FusionParams
 
     fus = FusionParams.init(8, 16, rng, num_heads=2, gat_head_dim=4)
-    fuse_attention(Tensor(rng.normal(size=(9, 8))), fus)
+    fuse_attention(Tensor(rng.normal(size=(1, 9, 8))), fus, mask=np.ones((1, 9), dtype=bool))
 
     assert len(attention_probs) == 2 * 2 + 2  # two encoder blocks and the fusion layer, two heads each
     for probs in attention_probs:

@@ -187,6 +187,15 @@ def test_cli_error_paths(trained, tmp_path, capsys):
         assert f"{bad}:3: bad tweet record" in capsys.readouterr().err
 
 
+def test_eval_rejects_unknown_checkpoint_config_keys(workdir, trained, tmp_path, capsys):
+    payload = json.loads(trained[1].read_text())
+    payload["config"]["dropout_rate"] = 0.3
+    ckpt = tmp_path / "ckpt.json"
+    ckpt.write_text(json.dumps(payload))
+    assert main(["eval", "--checkpoint", str(ckpt), "--tweets", str(workdir / "tweets.jsonl")]) == 1
+    assert f"error: {ckpt}: unknown config keys ['dropout_rate']" in capsys.readouterr().err
+
+
 def test_eval_rejects_empty_tweets_file(trained, tmp_path, capsys):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")

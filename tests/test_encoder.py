@@ -11,6 +11,12 @@ from offgraph.tensor import Tensor
 from gradcheck import assert_gradients_match
 
 
+def _encode(ids, params, **kw):
+    """Encode one unpadded sequence as a batch of one."""
+    ids = np.asarray(ids)[None, :]
+    return encode(ids, params, mask=np.ones(ids.shape, dtype=bool), **kw)
+
+
 @pytest.fixture
 def params():
     return EncoderParams.init(
@@ -20,38 +26,45 @@ def params():
 
 
 def test_output_shape_single_token(params):
-    assert encode(np.array([3]), params).shape == (1, 8)
+    assert _encode(np.array([3]), params).shape == (1, 1, 8)
 
 
 def test_output_shape_matches_length(params):
     for m in (1, 5, 16):
-        assert encode(np.arange(m) % 30, params).shape == (m, 8)
+        assert _encode(np.arange(m) % 30, params).shape == (1, m, 8)
 
 
 def test_eval_mode_deterministic(params):
     ids = np.array([1, 4, 9, 2])
-    a = encode(ids, params)
-    b = encode(ids, params)
+    a = _encode(ids, params)
+    b = _encode(ids, params)
     assert np.array_equal(a.data, b.data)
 
 
 def test_position_embeddings_break_symmetry(params):
-    base = encode(np.array([5, 7, 7]), params).data
-    swapped = encode(np.array([7, 5, 7]), params).data
+    base = _encode(np.array([5, 7, 7]), params).data
+    swapped = _encode(np.array([7, 5, 7]), params).data
     assert not np.allclose(base, swapped)
 
 
 def test_id_out_of_range_rejected(params):
     with pytest.raises(ValueError, match="vocabulary"):
-        encode(np.array([30]), params)
+        _encode(np.array([30]), params)
     with pytest.raises(ValueError, match="max_len"):
-        encode(np.zeros(17, dtype=int), params)
+        _encode(np.zeros(17, dtype=int), params)
+
+
+def test_encode_takes_only_a_masked_batch(params):
+    with pytest.raises(ValueError, match=r"\[B, S\] batch"):
+        encode(np.array([1, 2]), params, mask=np.ones(2, dtype=bool))
+    with pytest.raises(ValueError, match="keep a token"):
+        encode(np.array([[1, 2], [3, 0]]), params, mask=np.array([[True, True], [False, False]]))
 
 
 def test_block_attention_rows_sum_to_one(attention_probs):
     rng = np.random.default_rng(1)
     block = EncoderBlockParams.init(8, 16, rng)
-    self_attention_block(Tensor(rng.normal(size=(5, 8))), block, 2)
+    self_attention_block(Tensor(rng.normal(size=(1, 5, 8))), block, 2, mask=np.ones((1, 5), dtype=bool))
     assert len(attention_probs) == 2
     for probs in attention_probs:
         assert np.max(np.abs(probs.sum(axis=-1) - 1.0)) < 1e-9
@@ -62,7 +75,7 @@ def test_zeroed_output_projection_leaves_ffn_path():
     block = EncoderBlockParams.init(8, 16, rng)
     block.wo.data[...] = 0.0
     x = rng.normal(size=(4, 8))
-    out = self_attention_block(Tensor(x), block, 2).data
+    out = self_attention_block(Tensor(x[None]), block, 2, mask=np.ones((1, 4), dtype=bool)).data[0]
     # with the attention path muted, the block is x + FFN(LN(x)) exactly
     from offgraph.tensor import layer_norm, matmul, relu
 
@@ -99,13 +112,13 @@ def test_single_block_matches_hand_rolled_oracle():
     h2 = ln(mid, block.ln2_gain.data, block.ln2_bias.data)
     want = mid + (np.maximum(h2 @ block.ffn_w1.data + block.ffn_b1.data, 0.0) @ block.ffn_w2.data + block.ffn_b2.data)
 
-    got = self_attention_block(Tensor(x), block, 2).data
+    got = self_attention_block(Tensor(x[None]), block, 2, mask=np.ones((1, 2), dtype=bool)).data[0]
     assert np.max(np.abs(got - want)) < 1e-10
 
 
 def test_gradient_reaches_every_parameter(params):
     ids = np.array([1, 4, 9, 2, 11])
-    out = encode(ids, params)
+    out = _encode(ids, params)
     out.sum().backward()
     for name, tensor in params.named().items():
         assert tensor.grad is not None, f"no gradient on {name}"
@@ -121,13 +134,13 @@ def test_encoder_gradients_match_finite_differences():
     tensors = list(params.named().values())
 
     def fn():
-        return encode(ids, params).sum()
+        return _encode(ids, params).sum()
 
     assert_gradients_match(fn, tensors, rtol=1e-4)
 
 
 def test_training_mode_applies_dropout(params):
     ids = np.array([1, 2, 3, 4])
-    plain = encode(ids, params).data
-    dropped = encode(ids, params, rng=np.random.default_rng(0), attn_dropout=0.5, hidden_dropout=0.1).data
+    plain = _encode(ids, params).data
+    dropped = _encode(ids, params, rng=np.random.default_rng(0), attn_dropout=0.5, hidden_dropout=0.1).data
     assert not np.allclose(plain, dropped)

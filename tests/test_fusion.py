@@ -24,33 +24,44 @@ def params():
 
 
 def _author(rng, rows=3, head_dim=4):
-    return Tensor(rng.normal(size=(rows, head_dim)))
+    return Tensor(rng.normal(size=(1, rows, head_dim)))
+
+
+def _all_rows(x):
+    """The mask of a batch without padding."""
+    return np.ones(x.shape[:2], dtype=bool)
+
+
+def _fused_probability(tokens, author, params):
+    """One tweet [1, M, d] with its author rows through position encoding, attention and the head."""
+    x = add_position_encoding(assemble(tokens, author, params), np.array([tokens.shape[1]]))
+    return classify(fuse_attention(x, params, mask=_all_rows(x)), params)
 
 
 def test_assemble_length_tokens_plus_heads_plus_residual(params):
     rng = np.random.default_rng(1)
-    tokens = Tensor(rng.normal(size=(5, 8)))
+    tokens = Tensor(rng.normal(size=(1, 5, 8)))
     fused = assemble(tokens, _author(rng, rows=9), params)
-    assert fused.shape == (5 + 8 + 1, 8)
-    assert np.array_equal(fused.data[:5], tokens.data)  # the 5 token slots come first
+    assert fused.shape == (1, 5 + 8 + 1, 8)
+    assert np.array_equal(fused.data[:, :5], tokens.data)  # the 5 token slots come first
 
 
 def test_assemble_same_author_rows_for_two_tweets(params):
     rng = np.random.default_rng(2)
     author = _author(rng)
-    a = assemble(Tensor(rng.normal(size=(4, 8))), author, params)
-    b = assemble(Tensor(rng.normal(size=(2, 8))), author, params)
-    assert np.array_equal(a.data[4:], b.data[2:])
+    a = assemble(Tensor(rng.normal(size=(1, 4, 8))), author, params)
+    b = assemble(Tensor(rng.normal(size=(1, 2, 8))), author, params)
+    assert np.array_equal(a.data[:, 4:], b.data[:, 2:])
 
 
 def test_assemble_tokens_only_for_no_gat_path():
     params = FusionParams.init(d_model=8, d_ff=16, rng=np.random.default_rng(0), num_heads=2)
-    tokens = Tensor(np.random.default_rng(3).normal(size=(6, 8)))
+    tokens = Tensor(np.random.default_rng(3).normal(size=(1, 6, 8)))
     fused = assemble(tokens, None, params)
-    assert fused.shape == (6, 8)
+    assert fused.shape == (1, 6, 8)
     assert np.array_equal(fused.data, tokens.data)  # all 6 rows are token slots
     with pytest.raises(ValueError):
-        assemble(None, Tensor(np.zeros((3, 4))), params)
+        assemble(None, Tensor(np.zeros((1, 3, 4))), params)
 
 
 def test_assemble_requires_something(params):
@@ -73,16 +84,16 @@ def test_sinusoid_hand_value():
 
 def test_user_rows_share_one_encoding(params):
     rng = np.random.default_rng(4)
-    fused = assemble(Tensor(np.zeros((5, 8))), Tensor(np.zeros((9, 4))), params)
-    with_pe = add_position_encoding(fused, 5)
-    user_rows = with_pe.data[5:]
+    fused = assemble(Tensor(np.zeros((1, 5, 8))), Tensor(np.zeros((1, 9, 4))), params)
+    with_pe = add_position_encoding(fused, np.array([5]))
+    user_rows = with_pe.data[0, 5:]
     assert np.all(user_rows == user_rows[0])
-    assert np.array_equal(user_rows[0] - fused.data[5], sinusoidal_encoding([5], 8)[0])
+    assert np.array_equal(user_rows[0] - fused.data[0, 5], sinusoidal_encoding([5], 8)[0])
 
 
 def test_token_rows_get_distinct_encodings(params):
-    fused = assemble(Tensor(np.zeros((4, 8))), Tensor(np.zeros((9, 4))), params)
-    with_pe = add_position_encoding(fused, 4).data
+    fused = assemble(Tensor(np.zeros((1, 4, 8))), Tensor(np.zeros((1, 9, 4))), params)
+    with_pe = add_position_encoding(fused, np.array([4])).data[0]
     assert not np.array_equal(with_pe[0], with_pe[1])
 
 
@@ -92,7 +103,7 @@ def test_token_rows_get_distinct_encodings(params):
 def test_single_row_attention_is_identity_weight(params, attention_probs):
     rng = np.random.default_rng(5)
     x = Tensor(rng.normal(size=(1, 8)))
-    out = fuse_attention(x, params)
+    out = fuse_attention(Tensor(x.data[None]), params, mask=np.ones((1, 1), dtype=bool))
     assert len(attention_probs) == 2  # two heads, one call
     for probs in attention_probs:
         assert probs.tolist() == [[1.0]]
@@ -103,12 +114,13 @@ def test_single_row_attention_is_identity_weight(params, attention_probs):
         heads.append(matmul(normed, params.wv).data[:, cols])
     attended = np.concatenate(heads, axis=1) @ params.wo.data
     want = layer_norm(x + Tensor(attended), params.ln2_gain, params.ln2_bias).data
-    assert np.allclose(out.data, want, atol=1e-12)
+    assert np.allclose(out.data[0], want, atol=1e-12)
 
 
 def test_attention_probability_rows_sum_to_one(params, attention_probs):
     rng = np.random.default_rng(6)
-    fuse_attention(Tensor(rng.normal(size=(7, 8))), params)
+    x = Tensor(rng.normal(size=(1, 7, 8)))
+    fuse_attention(x, params, mask=_all_rows(x))
     assert len(attention_probs) == 2  # two heads, one call
     for probs in attention_probs:
         assert np.max(np.abs(probs.sum(axis=-1) - 1.0)) < 1e-9
@@ -131,28 +143,25 @@ def test_three_row_single_head_matches_dense_oracle():
     probs = e / e.sum(axis=-1, keepdims=True)
     want = ln(x + (probs @ v) @ params.wo.data, params.ln2_gain.data, params.ln2_bias.data)
 
-    got = fuse_attention(Tensor(x), params).data
+    got = fuse_attention(Tensor(x[None]), params, mask=np.ones((1, 3), dtype=bool)).data[0]
     assert np.max(np.abs(got - want)) < 1e-10
 
 
 def test_user_head_rows_exchangeable_when_equal(params):
     rng = np.random.default_rng(9)
-    tokens = Tensor(rng.normal(size=(3, 8)))
+    tokens = Tensor(rng.normal(size=(1, 3, 8)))
     row = rng.normal(size=4)
-    author_a = Tensor(np.vstack([row, row, rng.normal(size=4)]))
-    author_b = Tensor(author_a.data[[1, 0, 2]])  # swap the two equal head rows
+    author_a = Tensor(np.vstack([row, row, rng.normal(size=4)])[None])
+    author_b = Tensor(author_a.data[:, [1, 0, 2]])  # swap the two equal head rows
 
     def run(author):
-        x = add_position_encoding(assemble(tokens, author, params), tokens.shape[0])
-        return classify(fuse_attention(x, params), params).item()
+        return _fused_probability(tokens, author, params).item()
 
     assert run(author_a) == run(author_b)
     # but token order matters because of the position encodings
-    swapped = Tensor(tokens.data[[1, 0, 2]])
-    fused = assemble(swapped, author_a, params)
-    swapped_out = classify(fuse_attention(add_position_encoding(fused, tokens.shape[0]), params), params).item()
-    fused = assemble(tokens, author_a, params)
-    base = classify(fuse_attention(add_position_encoding(fused, tokens.shape[0]), params), params).item()
+    swapped = Tensor(tokens.data[:, [1, 0, 2]])
+    swapped_out = _fused_probability(swapped, author_a, params).item()
+    base = _fused_probability(tokens, author_a, params).item()
     assert swapped_out != base
 
 
@@ -162,33 +171,32 @@ def test_user_head_rows_exchangeable_when_equal(params):
 def test_zero_logit_gives_half(params):
     params.clf_w.data[...] = 0.0
     params.clf_b.data[...] = 0.0
-    out = classify(Tensor(np.random.default_rng(10).normal(size=(4, 8))), params)
+    out = classify(Tensor(np.random.default_rng(10).normal(size=(1, 4, 8))), params)
     assert out.data.tolist() == [0.5]
 
 
 def test_all_negative_rows_hit_relu_dead_zone(params):
-    x = Tensor(-np.ones((3, 8)))
+    x = Tensor(-np.ones((1, 3, 8)))
     out = matmul(Tensor(np.maximum(x.data, 0.0)), params.ffn_w) + params.ffn_b
-    assert np.array_equal(out.data, np.tile(params.ffn_b.data, (3, 1)))
+    assert np.array_equal(out.data, np.tile(params.ffn_b.data, (1, 3, 1)))
     a = classify(x, params).item()
-    b = classify(Tensor(-2 * np.ones((3, 8))), params).item()
+    b = classify(Tensor(-2 * np.ones((1, 3, 8))), params).item()
     assert a == b
 
 
 def test_probabilities_in_open_interval(params):
     rng = np.random.default_rng(11)
     for _ in range(10):
-        tokens = Tensor(rng.normal(size=(rng.integers(1, 6), 8)))
-        fused = add_position_encoding(assemble(tokens, _author(rng), params), tokens.shape[0])
-        p = classify(fuse_attention(fused, params), params).item()
+        tokens = Tensor(rng.normal(size=(1, rng.integers(1, 6), 8)))
+        p = _fused_probability(tokens, _author(rng), params).item()
         assert 0.0 < p < 1.0
-    big = classify(Tensor(rng.normal(size=(4, 8)) * 1e3), params).item()
+    big = classify(Tensor(rng.normal(size=(1, 4, 8)) * 1e3), params).item()
     assert np.isfinite(big)
 
 
 def test_cls_pooling_flag(params):
     rng = np.random.default_rng(12)
-    x = Tensor(rng.normal(size=(5, 8)))
+    x = Tensor(rng.normal(size=(1, 5, 8)))
     mean_pool = classify(x, params, pooling="mean").item()
     cls_pool = classify(x, params, pooling="cls").item()
     assert mean_pool != cls_pool
@@ -198,12 +206,11 @@ def test_cls_pooling_flag(params):
 
 def test_fusion_gradients_match_finite_differences(params):
     rng = np.random.default_rng(13)
-    tokens = Tensor(rng.normal(size=(3, 8)), requires_grad=True)
-    author = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    tokens = Tensor(rng.normal(size=(1, 3, 8)), requires_grad=True)
+    author = Tensor(rng.normal(size=(1, 3, 4)), requires_grad=True)
     tensors = [tokens, author] + list(params.named().values())
 
     def fn():
-        x = add_position_encoding(assemble(tokens, author, params), tokens.shape[0])
-        return classify(fuse_attention(x, params), params).sum()
+        return _fused_probability(tokens, author, params).sum()
 
     assert_gradients_match(fn, tensors, rtol=1e-4)

@@ -108,6 +108,11 @@ def test_auc_single_class_rejected():
         auc_score([0.1, 0.9], [1, 1])
 
 
+def test_auc_rejects_scores_and_labels_of_different_lengths():
+    with pytest.raises(ValueError, match="3 scores, 2 labels"):
+        auc_score([0.1, 0.2, 0.3], [0, 1])
+
+
 def test_auc_rank_formula_equals_pairwise_oracle():
     rng = np.random.default_rng(2)
     for _ in range(100):

@@ -42,7 +42,7 @@ def _model(setting, **kw):
 def test_unknown_ablation_rejected(setting):
     _, vocab, _, _ = setting
     with pytest.raises(ValueError, match="ablation"):
-        DetectionModel(_config(ablation="nope"), len(vocab), 2, np.random.default_rng(0))
+        DetectionModel(TrainConfig(ablation="nope"), len(vocab), 2, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("ablation", ABLATIONS)
@@ -60,6 +60,38 @@ def test_validate_rejects_exactly_the_head_counts_the_model_rejects(ablation):
             except ValueError:
                 outcomes.append("rejected")
         assert outcomes[0] == outcomes[1], (encoder_heads, gat_heads)
+
+
+_GAT_HEADS = ["gat.head0.proj", "gat.head0.attn", "gat.head1.proj", "gat.head1.attn"]
+_ENCODER = [
+    "encoder.token_table", "encoder.pos_table",
+    "encoder.block0.ln1_gain", "encoder.block0.ln1_bias",
+    "encoder.block0.wq", "encoder.block0.wk", "encoder.block0.wv", "encoder.block0.wo",
+    "encoder.block0.bq", "encoder.block0.bk", "encoder.block0.bv", "encoder.block0.bo",
+    "encoder.block0.ln2_gain", "encoder.block0.ln2_bias",
+    "encoder.block0.ffn_w1", "encoder.block0.ffn_b1", "encoder.block0.ffn_w2", "encoder.block0.ffn_b2",
+]
+_FUSION_ATTENTION = [
+    "fusion.ln1_gain", "fusion.ln1_bias", "fusion.wq", "fusion.wk", "fusion.wv", "fusion.wo",
+    "fusion.ln2_gain", "fusion.ln2_bias",
+]
+_FUSION_HEAD = ["fusion.ffn_w", "fusion.ffn_b", "fusion.clf_w", "fusion.clf_b"]
+
+
+@pytest.mark.parametrize("ablation, names", [
+    ("full", _GAT_HEADS + ["gat.residual.proj"] + _ENCODER
+     + ["fusion.head_adapter", "fusion.residual_adapter"] + _FUSION_ATTENTION + _FUSION_HEAD),
+    ("no_gat_residual", _GAT_HEADS + _ENCODER + ["fusion.head_adapter"] + _FUSION_ATTENTION + _FUSION_HEAD),
+    ("no_attention_layer", _GAT_HEADS + ["gat.residual.proj"] + _ENCODER
+     + ["fusion.head_adapter", "fusion.residual_adapter"] + _FUSION_HEAD),
+])
+def test_parameter_names_in_checkpoint_order(ablation, names):
+    # a checkpoint's "params" block is written in this order
+    cfg = TrainConfig(
+        gat_hidden=4, gat_heads=2, d_model=4, encoder_layers=1, encoder_heads=2,
+        d_ff=4, max_len=4, fusion_heads=2, ablation=ablation,
+    )
+    assert list(DetectionModel(cfg, 5, 2, np.random.default_rng(0)).named_parameters()) == names
 
 
 def test_parameter_groups_partition(setting):
@@ -161,24 +193,28 @@ def test_state_roundtrip_and_validation(setting):
 
 
 def _tweet_probability(model, seq, author_index, embeddings):
-    """P(offensive) for one tweet, computed alone: the unpadded, unmasked
-    per-tweet path the batched forward replaced, kept as its reference."""
-    tokens = None if model.encoder is None else encode_tokens(seq, model.encoder)
-    author = None
+    """P(offensive) for one tweet, computed alone as a batch of one: the
+    unpadded per-tweet path the batched forward replaced, kept as its
+    reference. Its masks keep every row."""
+    tokens = author = None
+    if model.encoder is not None:
+        ids = seq.token_ids[None, :]
+        tokens = encode_tokens(ids, model.encoder, mask=np.ones(ids.shape, dtype=bool))
     if model.gat is not None:
         rows = model.gat.num_heads + (model.gat.residual_proj is not None)
-        author = reshape(gather_rows(embeddings, np.array([author_index])), (rows, model.gat.head_dim))
+        author = reshape(gather_rows(embeddings, np.array([author_index])), (1, rows, model.gat.head_dim))
     if model.config.ablation == "no_attention_layer":
         pooled = []
         if tokens is not None:
-            pooled.append(tokens.mean(axis=0, keepdims=True))
+            pooled.append(tokens.mean(axis=1, keepdims=True))
         if author is not None:
-            pooled.append(assemble(None, author, model.fusion).mean(axis=0, keepdims=True))
-        x = concat(pooled, axis=1)
+            pooled.append(assemble(None, author, model.fusion).mean(axis=1, keepdims=True))
+        x = concat(pooled, axis=-1)
     else:
         x = assemble(tokens, author, model.fusion)
-        num_tokens = 0 if tokens is None else tokens.shape[0]
-        x = fuse_attention(add_position_encoding(x, num_tokens), model.fusion)
+        num_tokens = np.array([0 if tokens is None else tokens.shape[1]])
+        x = add_position_encoding(x, num_tokens)
+        x = fuse_attention(x, model.fusion, mask=np.ones(x.shape[:2], dtype=bool))
     return classify(x, model.fusion, pooling=model.config.pooling).item()
 
 

@@ -107,6 +107,16 @@ def test_config_file_comments_and_errors(tmp_path):
         parse_config_file(path)
 
 
+def test_config_file_names_the_line_of_a_bad_number(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("batch_size = 8.0\n")
+    with pytest.raises(ValueError, match=rf"{path}:1: bad int '8.0' for batch_size"):
+        parse_config_file(path)
+    path.write_text("# rates\nlr_gat = fast\n")
+    with pytest.raises(ValueError, match=rf"{path}:2: bad float 'fast' for lr_gat"):
+        parse_config_file(path)
+
+
 # -- early stopping ----------------------------------------------------------------
 
 
@@ -219,7 +229,7 @@ def test_divergence_aborts(corpus):
 
 
 def test_ablate_rejects_unknown(corpus):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"unknown ablation 'nope'; expected one of \('full', "):
         ablate(_tiny_config(), "nope", corpus)
 
 
@@ -358,4 +368,9 @@ def test_checkpoint_is_json_with_shapes(tmp_path, corpus):
     payload["config"]["graph_variant"] = "dense"
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="graph_variant 'dense'"):
+        load_checkpoint(path)
+    payload["config"]["graph_variant"] = "soft"
+    payload["graph"]["features"] = None
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="no node features"):
         load_checkpoint(path)
