@@ -45,6 +45,8 @@ def test_unknown_ablation_rejected(setting):
         DetectionModel(TrainConfig(ablation="nope"), len(vocab), 2, np.random.default_rng(0))
 
 
+# The model holds no head-count rules of its own: this fails if DetectionModel
+# stops validating its config and builds a model whose heads do not divide.
 @pytest.mark.parametrize("ablation", ABLATIONS)
 def test_validate_rejects_exactly_the_head_counts_the_model_rejects(ablation):
     for encoder_heads, gat_heads in ((4, 4), (5, 4), (4, 5), (5, 5)):

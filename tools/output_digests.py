@@ -7,8 +7,9 @@ diffs the two listings:
 
 Run the same script with ``PYTHONPATH`` pointing at the other checkout's
 ``src`` for the before listing. The setting is ``generate_corpus(1000, 100,
-seed=7)`` at the acceptance suite's ``E2E_CONFIG`` cut to two epochs
-(``max_epochs = early_stop_patience = 2``). Covered outputs:
+seed=7)`` at the acceptance suite's ``E2E_CONFIG`` (imported from
+``tests/test_acceptance.py``) cut to two epochs (``max_epochs =
+early_stop_patience = 2``). Covered outputs:
 
   * ``train`` result JSON and checkpoint for the default config,
     ``symmetric_neighbors = true``, ``ablation = no_attention_layer``, and
@@ -20,32 +21,33 @@ seed=7)`` at the acceptance suite's ``E2E_CONFIG`` cut to two epochs
   * ``preprocess`` of both tweet files.
 
 The first stderr line names the imported package, so a listing cannot come
-from the wrong checkout unnoticed. ``--keep DIR`` writes the outputs into
-``DIR`` instead of a temporary directory.
+from the wrong checkout unnoticed. Make both listings on one machine with the
+same BLAS thread count (say ``OPENBLAS_NUM_THREADS=1``): training sums differ
+in their last bits across thread counts, so checkpoints and results do too.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import hashlib
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import offgraph
 from offgraph import cli, generate_corpus, write_edges_tsv, write_tweets_jsonl
+from offgraph.training import write_config_file
 
-# the acceptance suite's E2E_CONFIG (tests/test_acceptance.py), two epochs
-BASE_CONFIG = {
-    "seed": 7, "max_epochs": 2, "early_stop_patience": 2, "batch_size": 64,
-    "lr_gat": 0.01, "lr_rest": 0.01, "attention_dropout": 0.1, "max_len": 32,
-}
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from test_acceptance import E2E_CONFIG  # noqa: E402
+
+BASE_CONFIG = replace(E2E_CONFIG, max_epochs=2, early_stop_patience=2)
 TRAIN_RUNS = {
     "default": {},
-    "symmetric": {"symmetric_neighbors": "true"},
+    "symmetric": {"symmetric_neighbors": True},
     "no_attention_layer": {"ablation": "no_attention_layer"},
-    "bow_stratified": {"graph_variant": "bow", "stratify_split": "true"},
+    "bow_stratified": {"graph_variant": "bow", "stratify_split": True},
 }
 GRAPHS = (("soft", "nonoff"), ("hard", "avg"), ("bow", "nonoff"))
 
@@ -70,7 +72,7 @@ def produce(work: Path) -> list[Path]:
     outputs = []
     for name, overrides in TRAIN_RUNS.items():
         config = work / f"{name}.cfg"
-        config.write_text("".join(f"{k} = {v}\n" for k, v in {**BASE_CONFIG, **overrides}.items()))
+        write_config_file(replace(BASE_CONFIG, **overrides), config)
         result, ckpt = work / f"train_{name}.json", work / f"ckpt_{name}.json"
         _run("train", "--config", str(config), *data, "--out", str(result), "--checkpoint", str(ckpt))
         outputs += [result, ckpt]
@@ -93,15 +95,10 @@ def produce(work: Path) -> list[Path]:
     return outputs
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--keep", default=None, help="write the outputs here instead of a temporary directory")
-    args = parser.parse_args(argv)
+def main() -> int:
     print(f"offgraph from {Path(offgraph.__file__).resolve().parent}", file=sys.stderr)
     with tempfile.TemporaryDirectory() as tmp:
-        work = Path(args.keep or tmp)
-        work.mkdir(parents=True, exist_ok=True)
-        for path in produce(work):
+        for path in produce(Path(tmp)):
             print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}", flush=True)
     return 0
 
