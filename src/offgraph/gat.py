@@ -8,6 +8,8 @@ graph with K heads emits (K + 1) * head_dim values per node.
 
 Evaluation walks the flat edge list (neighborhoods never materialize a dense
 n x n matrix); the tests hold a dense brute-force twin to compare against.
+With one layer a node's row reads only its own neighborhood, so a pass for a
+few users runs on their part of the edge list alone.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .graph import SocialGraph
 from .optim import xavier_normal_init
 from .tensor import (
     Tensor,
+    add,
     concat,
     dropout,
     elu,
@@ -27,6 +30,7 @@ from .tensor import (
     leaky_relu,
     matmul,
     mul,
+    reduce_sum,
     reshape,
     segment_softmax,
     segment_sum,
@@ -89,11 +93,16 @@ def attention_coefficients(
     attn_vec: Tensor,
     num_nodes: int,
 ) -> Tensor:
-    """Normalized attention weights, one per edge, summing to 1 per source node."""
-    z_src = gather_rows(projected, edge_src)
-    z_dst = gather_rows(projected, edge_dst)
-    scores = leaky_relu(matmul(concat([z_src, z_dst], axis=1), attn_vec), LEAKY_SLOPE)
-    return segment_softmax(reshape(scores, (len(edge_src),)), edge_src, num_nodes)
+    """Normalized attention weights, one per edge, summing to 1 per source node.
+
+    The score a . [z_src || z_dst] splits into a per-node term for each end.
+    Each term is a row of elementwise products, summed: a BLAS product would
+    round a row differently by where it sits among the rows multiplied.
+    """
+    halves = reshape(attn_vec, (2, projected.shape[1]))
+    src_term, dst_term = (reduce_sum(mul(projected, halves[k]), axis=1) for k in (0, 1))
+    scores = add(gather_rows(src_term, edge_src), gather_rows(dst_term, edge_dst))
+    return segment_softmax(leaky_relu(scores, LEAKY_SLOPE), edge_src, num_nodes)
 
 
 def gat_forward(
@@ -101,25 +110,38 @@ def gat_forward(
     graph: SocialGraph,
     params: GatParams,
     *,
+    users: np.ndarray | None = None,
     rng: np.random.Generator | None = None,
     attn_dropout: float = 0.0,
     symmetric: bool = False,
 ) -> Tensor:
-    """Per-node embeddings [n, (K + 1) * head_dim] (K * head_dim without residual).
+    """Embeddings [len(users), (K + 1) * head_dim] (K * head_dim without residual).
 
-    With ``rng``, each head's attention coefficients get dropout at ``attn_dropout``.
+    Row i embeds node ``users[i]``; ids may repeat and come in any order.
+    ``users=None`` means every node, in node order. One layer reads only the
+    users' own attention edges, so the pass runs on ``graph.neighbourhood``
+    of the distinct users and each row equals the full pass's row exactly.
+
+    With ``rng``, each head's attention coefficients get dropout at
+    ``attn_dropout``. The mask is drawn over every edge of the graph and read
+    at the local edges, so the random stream is the full pass's.
     """
     if node_features.shape[0] != graph.num_nodes:
         raise ValueError("feature rows must match graph nodes")
-    edge_src, edge_dst = graph.edge_arrays(symmetric=symmetric)
-    num_edges = len(edge_src)
+    wanted = np.arange(graph.num_nodes) if users is None else np.asarray(users, dtype=np.int64)
+    nodes, edge_src, edge_dst, edges = graph.neighbourhood(np.unique(wanted), symmetric=symmetric)
+    num_edges = len(edges)
     parts = []
+    # Every node is projected, in one product of the full pass's shape: numpy hands a
+    # one-row product to another BLAS routine, which rounds differently.
     for proj, attn in zip(params.head_proj, params.head_attn):
-        z = matmul(node_features, proj)
-        alpha = attention_coefficients(z, edge_src, edge_dst, attn, graph.num_nodes)
-        alpha = dropout(alpha, attn_dropout, rng)
+        z = gather_rows(matmul(node_features, proj), nodes)
+        alpha = attention_coefficients(z, edge_src, edge_dst, attn, len(nodes))
+        if rng is not None:
+            keep = dropout(Tensor(np.ones(len(graph.edge_arrays(symmetric)[0]))), attn_dropout, rng)
+            alpha = mul(alpha, Tensor(keep.data[edges]))
         weighted = mul(reshape(alpha, (num_edges, 1)), gather_rows(z, edge_dst))
-        parts.append(elu(segment_sum(weighted, edge_src, graph.num_nodes)))
+        parts.append(elu(segment_sum(weighted, edge_src, len(nodes))))
     if params.residual_proj is not None:
-        parts.append(matmul(node_features, params.residual_proj))
-    return concat(parts, axis=1)
+        parts.append(gather_rows(matmul(node_features, params.residual_proj), nodes))
+    return gather_rows(concat(parts, axis=1), np.searchsorted(nodes, wanted))

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
@@ -57,7 +58,7 @@ class SocialGraph:
     variant: str = "none"
     init_strategy: str = "none"
     index: dict[str, int] = field(init=False)
-    _edge_cache: dict[bool, tuple[np.ndarray, np.ndarray]] = field(
+    _edge_cache: dict[bool, tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
         init=False, default_factory=dict, repr=False, compare=False
     )
 
@@ -89,16 +90,49 @@ class SocialGraph:
         A node attends over itself and its followees, plus its followers with
         ``symmetric``. Built once per flag and returned read-only.
         """
+        return self._csr(symmetric)[:2]
+
+    def _csr(self, symmetric: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``edge_arrays`` plus CSR offsets: node i's edges are ``offsets[i]:offsets[i + 1]``."""
         if symmetric not in self._edge_cache:
             n, (follower, followee) = self.num_nodes, self.arcs.T
             loops = np.arange(n, dtype=np.int64)
             src = np.concatenate([loops, follower, followee] if symmetric else [loops, follower])
             dst = np.concatenate([loops, followee, follower] if symmetric else [loops, followee])
-            arrays = np.divmod(_distinct(src * n + dst), n)
-            for array in arrays:
+            src, dst = np.divmod(_distinct(src * n + dst), n)
+            offsets = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))])
+            for array in (src, dst, offsets):
                 array.flags.writeable = False
-            self._edge_cache[symmetric] = arrays
+            self._edge_cache[symmetric] = (src, dst, offsets)
         return self._edge_cache[symmetric]
+
+    def neighbourhood(
+        self, users: np.ndarray, symmetric: bool = False
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The part of ``edge_arrays(symmetric)`` that one attention layer reads to embed ``users``.
+
+        ``users`` are sorted distinct node ids. Returns ``(nodes, src, dst, edges)``:
+        the sorted ids of every node the users attend over (the users among them);
+        the users' edges as positions in ``nodes``, in the full list's (src, dst)
+        order; and those edges' positions in the full list.
+        """
+        users = np.asarray(users, dtype=np.int64)
+        if users.ndim != 1 or np.any(np.diff(users) <= 0):
+            raise ValueError("users must be sorted distinct node ids")
+        if len(users) and (users[0] < 0 or users[-1] >= self.num_nodes):
+            raise ValueError(f"user node ids must lie in [0, {self.num_nodes})")
+        src, dst, offsets = self._csr(symmetric)
+        starts, counts = offsets[users], offsets[users + 1] - offsets[users]
+        edges = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+        nodes = _distinct(dst[edges])
+        return nodes, np.searchsorted(nodes, src[edges]), np.searchsorted(nodes, dst[edges]), edges
+
+    def node_ids(self, users: list[str]) -> np.ndarray:
+        """The node id of each named user, in order; repeats allowed."""
+        try:
+            return np.fromiter((self.index[u] for u in users), dtype=np.int64, count=len(users))
+        except KeyError as exc:
+            raise ValueError(f"user {exc.args[0]!r} is not a node of the graph") from None
 
     def directed_edges(self) -> list[tuple[str, str]]:
         """The follower -> followee name pairs, in arc order."""
@@ -114,7 +148,9 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
 def _arcs(nodes: list[str], name_pairs) -> np.ndarray:
     """The canonical arc array of follower -> followee name pairs; repeats and self-follows drop out."""
     index = {u: i for i, u in enumerate(nodes)}
-    ids = np.fromiter((index[u] for f, e in name_pairs for u in (f, e)), dtype=np.int64).reshape(-1, 2)
+    if set(map(len, name_pairs)) - {2}:
+        raise ValueError("every edge must be a (follower, followee) pair")
+    ids = np.fromiter(map(index.__getitem__, chain.from_iterable(name_pairs)), dtype=np.int64).reshape(-1, 2)
     ids = ids[ids[:, 0] != ids[:, 1]]
     return np.stack(np.divmod(_distinct(ids[:, 0] * len(nodes) + ids[:, 1]), len(nodes)), axis=1)
 
@@ -151,9 +187,10 @@ def soft_features(graph: SocialGraph, train_tweets: list[RawTweet], init_strateg
         fallback = init_unknown_features("avg", (known[:, 0].mean(), known[:, 1].mean()))
     else:
         fallback = init_unknown_features(init_strategy)
-    out = np.zeros((graph.num_nodes, 2))
-    for i, user in enumerate(graph.nodes):
-        out[i] = counts.get(user, fallback)
+    out = np.tile(fallback, (graph.num_nodes, 1))
+    for user, row in counts.items():
+        if user in graph.index:
+            out[graph.index[user]] = row
     return out
 
 

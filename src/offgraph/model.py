@@ -24,7 +24,7 @@ from .encoder import EncoderParams, encode
 from .fusion import FusionParams, add_position_encoding, assemble, classify, fuse_attention, pool_rows
 from .gat import GatParams, gat_forward
 from .graph import SocialGraph
-from .tensor import Tensor, concat, gather_rows, no_grad, reshape
+from .tensor import Tensor, concat, no_grad, reshape
 
 __all__ = ["ABLATIONS", "DetectionModel"]
 
@@ -95,36 +95,33 @@ class DetectionModel:
 
     # -- forward ---------------------------------------------------------
 
-    def user_embeddings(self, graph: SocialGraph, *, rng: np.random.Generator | None = None) -> Tensor | None:
-        """One graph-attention pass over the full masked graph; ``rng`` turns dropout on."""
+    def user_embeddings(
+        self, graph: SocialGraph, users: np.ndarray | None = None, *, rng: np.random.Generator | None = None
+    ) -> Tensor | None:
+        """Graph-attention rows for the node ids ``users`` (every node when None), read
+        from their neighbourhoods in the masked graph; ``rng`` turns dropout on."""
         if self.gat is None:
             return None
         return gat_forward(
             Tensor(graph.features), graph, self.gat,
-            rng=rng, attn_dropout=self.config.attention_dropout,
+            users=users, rng=rng, attn_dropout=self.config.attention_dropout,
             symmetric=self.config.symmetric_neighbors,
         )
-
-    def _author_rows(self, embeddings: Tensor, graph: SocialGraph, seqs: list[TokenSequence]) -> Tensor:
-        rows = self.gat.num_heads + (self.gat.residual_proj is not None)
-        authors = np.array([graph.index[s.author_id] for s in seqs], dtype=np.int64)
-        return reshape(gather_rows(embeddings, authors), (len(seqs), rows, self.gat.head_dim))
 
     def forward_batch(
         self,
         seqs: list[TokenSequence],
-        graph: SocialGraph,
-        embeddings: Tensor | None,
+        authors: Tensor | None,
         *,
         rng: np.random.Generator | None = None,
     ) -> Tensor:
         """Probabilities for a batch, shape [B], from one padded computation.
 
-        Token ids are padded to the batch's longest tweet and masked. Each
-        tweet's author row of ``embeddings`` (from ``user_embeddings``) is
-        found through ``graph.index``. ``embeddings=None`` skips the author
-        rows entirely, which reproduces the text-only ablation from the full
-        model's parameters (the structural-equivalence escape hatch).
+        Token ids are padded to the batch's longest tweet and masked.
+        ``authors`` holds each tweet's author row, [B, output_dim], from
+        ``user_embeddings(graph, graph.node_ids(...))``. ``authors=None`` skips
+        the author rows entirely, which reproduces the text-only ablation from
+        the full model's parameters (the structural-equivalence escape hatch).
         ``rng`` turns dropout on, at the config's rates.
         """
         if not seqs:
@@ -140,8 +137,9 @@ class DetectionModel:
                 ids, self.encoder, mask=token_mask, rng=rng,
                 attn_dropout=self.config.attention_dropout, hidden_dropout=self.config.hidden_dropout,
             )
-        if embeddings is not None:
-            author = self._author_rows(embeddings, graph, seqs)
+        if authors is not None:
+            rows = self.gat.num_heads + (self.gat.residual_proj is not None)
+            author = reshape(authors, (len(seqs), rows, self.gat.head_dim))
 
         if self.config.ablation == "no_attention_layer":
             pooled = []
@@ -165,16 +163,21 @@ class DetectionModel:
     def predict(self, seqs: list[TokenSequence], graph: SocialGraph) -> np.ndarray:
         """Evaluation-mode probabilities as a plain array.
 
-        Scores off the tape, in chunks of ``config.batch_size`` tweets, so
-        memory stays flat in the number of tweets.
+        Embeds each scored tweet's author once, from the authors'
+        neighbourhoods, then scores off the tape in chunks of
+        ``config.batch_size`` tweets, so memory stays flat in the number of
+        tweets.
         """
         if not seqs:
             return np.zeros(0)
         step = self.config.batch_size
         with no_grad():
-            embeddings = self.user_embeddings(graph)
+            # no lookup without a graph side, so the text-only model scores authors the graph lacks
+            authors = None
+            if self.gat is not None:
+                authors = self.user_embeddings(graph, graph.node_ids([s.author_id for s in seqs]))
             chunks = [
-                self.forward_batch(seqs[i : i + step], graph, embeddings).data
+                self.forward_batch(seqs[i : i + step], None if authors is None else authors[i : i + step]).data
                 for i in range(0, len(seqs), step)
             ]
         return np.concatenate(chunks)

@@ -42,6 +42,7 @@ from .optim import Adam, zero_grads
 __all__ = [
     "TrainConfig",
     "TrainingDiverged",
+    "ConfigError",
     "EarlyStopper",
     "RunResult",
     "TrainedRun",
@@ -64,6 +65,14 @@ FRACTION_SWEEP = tuple(round(0.1 * k, 1) for k in range(1, 10))
 
 class TrainingDiverged(RuntimeError):
     pass
+
+
+class ConfigError(ValueError):
+    """A TrainConfig rule broken; ``keys`` are the fields it involves, the rejected one first."""
+
+    def __init__(self, message: str, *keys: str):
+        super().__init__(message)
+        self.keys = keys
 
 
 @dataclass
@@ -100,8 +109,9 @@ class TrainConfig:
     vocab_max_size: int = 30000
 
     def validate(self) -> "TrainConfig":
+        """Return self, or raise ``ConfigError`` naming the keys of the first rule broken."""
         if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError("train_fraction must be in (0, 1)")
+            raise ConfigError("train_fraction must be in (0, 1)", "train_fraction")
         positive = (
             "batch_size", "max_epochs", "early_stop_patience", "lr_gat", "lr_rest",
             "gat_hidden", "gat_heads", "d_model", "encoder_layers", "encoder_heads",
@@ -109,26 +119,38 @@ class TrainConfig:
         )
         for name in positive:
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+                raise ConfigError(f"{name} must be positive", name)
         for name in ("attention_dropout", "hidden_dropout"):
             if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}", name)
         if self.d_model % self.fusion_heads:
-            raise ValueError(f"fusion_heads {self.fusion_heads} must divide d_model {self.d_model}")
+            raise ConfigError(
+                f"fusion_heads {self.fusion_heads} must divide d_model {self.d_model}", "fusion_heads", "d_model"
+            )
         if self.early_stop_patience > self.max_epochs:
-            raise ValueError("early_stop_patience cannot exceed max_epochs")
+            raise ConfigError("early_stop_patience cannot exceed max_epochs", "early_stop_patience", "max_epochs")
         choices = (
             ("ablation", ABLATIONS), ("graph_variant", VARIANTS),
             ("init_strategy", INIT_STRATEGIES), ("pooling", POOLINGS),
         )
         for name, allowed in choices:
             if getattr(self, name) not in allowed:
-                raise ValueError(f"unknown {name} {getattr(self, name)!r}; expected one of {allowed}")
+                raise ConfigError(f"unknown {name} {getattr(self, name)!r}; expected one of {allowed}", name)
         if self.ablation != "no_encoder" and self.d_model % self.encoder_heads:
-            raise ValueError(f"encoder_heads {self.encoder_heads} must divide d_model {self.d_model}")
+            raise ConfigError(
+                f"encoder_heads {self.encoder_heads} must divide d_model {self.d_model}",
+                "encoder_heads", "d_model", "ablation",
+            )
         if self.ablation not in ("no_gat", "single_head_gat") and self.gat_hidden % self.gat_heads:
-            raise ValueError(f"gat_heads {self.gat_heads} must divide gat_hidden {self.gat_hidden}")
-        FocalParams(self.focal_alpha, self.focal_gamma)
+            raise ConfigError(
+                f"gat_heads {self.gat_heads} must divide gat_hidden {self.gat_hidden}",
+                "gat_heads", "gat_hidden", "ablation",
+            )
+        for name in ("alpha", "gamma"):
+            try:
+                FocalParams(**{name: getattr(self, f"focal_{name}")})
+            except ValueError as exc:
+                raise ConfigError(f"focal_{exc}", f"focal_{name}") from None
         return self
 
     def to_dict(self) -> dict:
@@ -143,6 +165,7 @@ def parse_config_file(path) -> TrainConfig:
     """Read a flat ``key = value`` file whose keys are TrainConfig fields."""
     types = {f.name: f.type for f in fields(TrainConfig)}  # type names: annotations are postponed
     values: dict = {}
+    lines: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
@@ -153,7 +176,7 @@ def parse_config_file(path) -> TrainConfig:
             key, raw = (part.strip() for part in line.split("=", 1))
             if key not in types:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            kind = types[key]
+            kind, lines[key] = types[key], lineno
             if kind == "bool":
                 if raw.lower() not in _BOOLS:
                     raise ValueError(f"{path}:{lineno}: bad boolean {raw!r}")
@@ -165,7 +188,11 @@ def parse_config_file(path) -> TrainConfig:
                     raise ValueError(f"{path}:{lineno}: bad {kind} {raw!r} for {key}") from None
             else:
                 values[key] = raw
-    return TrainConfig(**values).validate()
+    try:
+        return TrainConfig(**values).validate()
+    except ConfigError as exc:
+        set_here = [lines[key] for key in exc.keys if key in lines]
+        raise ValueError(f"{path}:{set_here[0]}: {exc}" if set_here else f"{path}: {exc}") from None
 
 
 def write_config_file(config: TrainConfig, path) -> None:
@@ -290,8 +317,8 @@ def fit(config: TrainConfig, corpus: Corpus) -> TrainedRun:
         epoch_losses = []
         for batch in batches(train_seqs, config.batch_size, shuffle_rng):
             zero_grads(all_params)
-            embeddings = model.user_embeddings(graph, rng=dropout_rng)
-            probs = model.forward_batch(batch, graph, embeddings, rng=dropout_rng)
+            authors = model.user_embeddings(graph, graph.node_ids([s.author_id for s in batch]), rng=dropout_rng)
+            probs = model.forward_batch(batch, authors, rng=dropout_rng)
             loss = focal_loss_tensor(probs, [s.label for s in batch], focal)
             value = loss.item()
             if not np.isfinite(value):
@@ -441,9 +468,15 @@ class Checkpoint:
     graph: SocialGraph
 
 
+_CHECKPOINT_KEYS = ("config", "vocab", "graph", "params")
+
+
 def load_checkpoint(path) -> Checkpoint:
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
+    missing = [key for key in _CHECKPOINT_KEYS if not isinstance(payload, dict) or key not in payload]
+    if missing:
+        raise ValueError(f"{path}: not a checkpoint, missing keys {missing}")
     unknown = sorted(set(payload["config"]) - {f.name for f in fields(TrainConfig)})
     if unknown:
         raise ValueError(f"{path}: unknown config keys {unknown}")

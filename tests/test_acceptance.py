@@ -116,8 +116,8 @@ def test_gradient_correctness_primitives_and_composite():
     params = model.named_parameters()
 
     def forward():
-        embeddings = model.user_embeddings(graph)
-        probs = model.forward_batch(seqs, graph, embeddings)
+        authors = model.user_embeddings(graph, graph.node_ids([s.author_id for s in seqs]))
+        probs = model.forward_batch(seqs, authors)
         return focal_loss_tensor(probs, labels)
 
     for tensor in params.values():

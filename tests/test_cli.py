@@ -201,3 +201,11 @@ def test_eval_rejects_empty_tweets_file(trained, tmp_path, capsys):
     empty.write_text("")
     assert main(["eval", "--checkpoint", str(trained[1]), "--tweets", str(empty)]) == 1
     assert f"error: {empty} holds no tweets" in capsys.readouterr().err
+
+
+def test_eval_rejects_a_file_that_is_not_a_checkpoint(workdir, trained, capsys):
+    result_path = trained[0]  # a train result: it has a config but no vocabulary, graph or parameters
+    assert main(["eval", "--checkpoint", str(result_path), "--tweets", str(workdir / "tweets.jsonl")]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {result_path}: not a checkpoint, missing keys ['vocab', 'graph', 'params']" in err
+    assert "Traceback" not in err

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from offgraph.corpus import Corpus
 from offgraph.gat import GatParams, attention_coefficients, gat_forward
 from offgraph.graph import SocialGraph, build_graph
 from offgraph.preprocess import RawTweet
-from offgraph.tensor import Tensor
+from offgraph.tensor import Tensor, gather_rows
 
 from dense_gat import dense_gat
 from gradcheck import assert_gradients_match
@@ -142,3 +144,65 @@ def test_attention_dropout_only_in_training():
     assert np.array_equal(eval_a.data, eval_b.data)
     train = gat_forward(x, g, params, rng=np.random.default_rng(1), attn_dropout=0.5)
     assert not np.array_equal(train.data, eval_a.data)
+
+
+# -- author-local passes against the full pass ------------------------------------
+
+
+@st.composite
+def _local_cases(draw):
+    """A graph of up to 8 nodes, GAT parameters, and the users to embed: any ids,
+    repeats allowed, or every node at once."""
+    n = draw(st.integers(1, 8))
+    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])))
+    users = draw(st.one_of(st.lists(st.integers(0, n - 1), min_size=1, max_size=12), st.just(list(range(n)))))
+    dims = draw(st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4), st.booleans()))
+    return n, sorted(pairs), users, dims, draw(st.integers(0, 2**16)), draw(st.booleans())
+
+
+@settings(max_examples=200)
+@given(_local_cases())
+# node 3 follows no one and node 4 is isolated; users repeat and come unsorted
+@example((5, [(0, 1), (1, 2), (2, 0), (2, 3)], [4, 3, 0, 3], (2, 2, 3, True), 1, False))
+def test_local_rows_equal_full_pass_rows(case):
+    n, pairs, users, (feature_dim, heads, head_dim, residual), seed, symmetric = case
+    g = SocialGraph(nodes=[f"n{i}" for i in range(n)], arcs=np.array(pairs, dtype=np.int64).reshape(-1, 2))
+    rng = np.random.default_rng(seed)
+    params = GatParams.init(feature_dim, heads, head_dim, rng, with_residual=residual)
+    x = Tensor(rng.normal(size=(n, feature_dim)))
+    full = gat_forward(x, g, params, symmetric=symmetric).data
+    local = gat_forward(x, g, params, users=np.array(users), symmetric=symmetric).data
+    assert np.array_equal(local, full[users])
+    # training mode: one dropout seed gives both passes the same mask
+    train = dict(attn_dropout=0.5, symmetric=symmetric)
+    full = gat_forward(x, g, params, rng=np.random.default_rng(seed), **train).data
+    local = gat_forward(x, g, params, users=np.array(users), rng=np.random.default_rng(seed), **train).data
+    assert np.array_equal(local, full[users])
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+@pytest.mark.parametrize("dropout_rng", [None, 5])
+def test_local_parameter_gradients_match_the_full_pass(symmetric, dropout_rng):
+    rng = np.random.default_rng(6)
+    g = _random_graph(rng, 40)
+    params = GatParams.init(2, 3, 4, rng)
+    x = Tensor(rng.normal(size=(40, 2)))
+    users = np.array([7, 3, 3, 29, 12, 0])
+    weights = Tensor(rng.normal(size=(len(users), params.output_dim)))
+    named = params.named()
+
+    def grads(local: bool):
+        for t in named.values():
+            t.grad = None
+        gen = None if dropout_rng is None else np.random.default_rng(dropout_rng)
+        kw = dict(rng=gen, attn_dropout=0.4, symmetric=symmetric)
+        if local:
+            rows = gat_forward(x, g, params, users=users, **kw)
+        else:
+            rows = gather_rows(gat_forward(x, g, params, **kw), users)
+        (rows * weights).sum().backward()
+        return {name: t.grad.copy() for name, t in named.items()}
+
+    full, local = grads(False), grads(True)
+    for name, want in full.items():
+        assert np.max(np.abs(local[name] - want)) <= 1e-12 * np.max(np.abs(want)), name

@@ -103,6 +103,30 @@ def test_arcs_and_edge_arrays_match_brute_force(graph_input):
             assert np.array_equal(got, want)
 
 
+@settings(max_examples=200)
+@given(_follow_graphs, st.sets(st.integers(0, 7)), st.booleans())
+def test_neighbourhood_matches_brute_force(graph_input, wanted, symmetric):
+    n, pairs = graph_input
+    nodes = [f"u{i}" for i in range(n)]
+    g = build_graph(Corpus(tweets=[], edges=[(nodes[a], nodes[b]) for a, b in pairs], users=set(nodes)))
+    users = np.array(sorted(u for u in wanted if u < n), dtype=np.int64)
+    src, dst = g.edge_arrays(symmetric=symmetric)
+    hood, local_src, local_dst, edges = g.neighbourhood(users, symmetric=symmetric)
+    assert edges.tolist() == [k for k, s in enumerate(src.tolist()) if s in set(users.tolist())]
+    assert hood.tolist() == sorted(set(dst[edges].tolist()))
+    assert set(users.tolist()) <= set(hood.tolist())
+    assert np.array_equal(hood[local_src], src[edges]) and np.array_equal(hood[local_dst], dst[edges])
+
+
+def test_neighbourhood_rejects_unsorted_or_unknown_users():
+    g = build_graph(Corpus(tweets=[_tweet(1, "x"), _tweet(2, "y")], edges=[("x", "y")]))
+    for users in ([1, 0], [0, 0], [2], [-1]):
+        with pytest.raises(ValueError, match="users|node ids"):
+            g.neighbourhood(np.array(users))
+    with pytest.raises(ValueError, match="'z' is not a node"):
+        g.node_ids(["x", "z"])
+
+
 @settings(max_examples=100)
 @given(_follow_graphs)
 def test_constructor_rejects_non_canonical_arcs(graph_input):
@@ -262,3 +286,9 @@ def test_graph_json_roundtrip():
     assert np.array_equal(back.arcs, g.arcs)
     assert np.array_equal(back.features, g.features)
     assert (back.variant, back.init_strategy) == ("soft", "all1")
+
+
+@pytest.mark.parametrize("edges", [[["a", "b", "a"]], [["a"]], [["a", "b"], ["b", "a", "b"], ["a"]]])
+def test_graph_from_dict_rejects_an_edge_that_is_not_a_pair(edges):
+    with pytest.raises(ValueError, match="every edge must be a"):
+        graph_from_dict({"nodes": ["a", "b"], "edges": edges})

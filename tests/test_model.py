@@ -175,7 +175,7 @@ def test_no_gat_structurally_equals_full_without_user_rows(setting):
     nog.load_state_arrays(state)
 
     want = nog.predict(seqs[:3], graph)
-    got = full.forward_batch(seqs[:3], graph, None).data
+    got = full.forward_batch(seqs[:3], None).data
     assert np.array_equal(got, want)
 
 
@@ -238,10 +238,11 @@ def test_batched_forward_matches_per_tweet_reference(setting, ablation, pooling)
 def test_predict_scores_off_the_tape_bit_identically(setting):
     _, _, graph, seqs = setting
     model, _ = _model(setting)
-    on_tape = model.forward_batch(seqs, graph, model.user_embeddings(graph))
+    authors = graph.node_ids([s.author_id for s in seqs])
+    on_tape = model.forward_batch(seqs, model.user_embeddings(graph, authors))
     assert on_tape.requires_grad
     with no_grad():
-        off_tape = model.forward_batch(seqs, graph, model.user_embeddings(graph))
+        off_tape = model.forward_batch(seqs, model.user_embeddings(graph, authors))
     assert not off_tape.requires_grad
     assert np.array_equal(off_tape.data, on_tape.data)
     assert np.array_equal(model.predict(seqs, graph), on_tape.data)
@@ -261,7 +262,8 @@ def test_training_pass_drops_out_at_the_config_rates_in_order(setting, monkeypat
 
     for module in (gat, attention, encoder, fusion):
         monkeypatch.setattr(module, "dropout", record)
-    model.forward_batch(seqs, graph, model.user_embeddings(graph, rng=rng), rng=rng)
+    authors = graph.node_ids([s.author_id for s in seqs])
+    model.forward_batch(seqs, model.user_embeddings(graph, authors, rng=rng), rng=rng)
 
     cfg = model.config
     edges = len(graph.edge_arrays()[0])
@@ -273,8 +275,39 @@ def test_training_pass_drops_out_at_the_config_rates_in_order(setting, monkeypat
     want += [(attn, (batch, cfg.fusion_heads, fused, fused)), (hidden, (batch, fused, cfg.d_ff))]
     assert calls == want
     assert all(g is rng for g in generators)
-    without_rng = model.forward_batch(seqs, graph, model.user_embeddings(graph, rng=None), rng=None)
+    without_rng = model.forward_batch(seqs, model.user_embeddings(graph, authors, rng=None), rng=None)
     assert np.array_equal(without_rng.data, model.predict(seqs, graph))
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_training_pass_draws_dropout_over_every_edge(setting, symmetric):
+    """The author-local pass leaves the dropout stream where the full pass would."""
+    _, _, graph, seqs = setting
+    model, _ = _model(setting, attention_dropout=0.3, symmetric_neighbors=symmetric)
+    rng, want = np.random.default_rng(0), np.random.default_rng(0)
+    model.user_embeddings(graph, graph.node_ids([s.author_id for s in seqs]), rng=rng)
+    for _ in range(model.gat.num_heads):
+        want.random(len(graph.edge_arrays(symmetric)[0]))
+    assert rng.bit_generator.state == want.bit_generator.state
+
+
+@pytest.fixture(scope="module")
+def wide_graph():
+    """The wide benchmark's graph: 10,000 users, features from a 70 % training split."""
+    corpus = generate_corpus(400, 10000, seed=7)
+    split = split_corpus(corpus, 0.7, np.random.default_rng(0))
+    graph = with_node_features(build_graph(corpus), split.train, "soft", "nonoff")
+    return graph, graph.node_ids([t.user_id for t in corpus.tweets[:64]])
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+@pytest.mark.parametrize("ablation", [a for a in ABLATIONS if a != "no_gat"])
+def test_author_rows_equal_full_pass_rows_on_a_wide_graph(wide_graph, ablation, symmetric):
+    graph, authors = wide_graph
+    config = TrainConfig(ablation=ablation, symmetric_neighbors=symmetric)
+    model = DetectionModel(config, 10, 2, np.random.default_rng(1))
+    full = model.user_embeddings(graph).data
+    assert np.array_equal(model.user_embeddings(graph, authors).data, full[authors])
 
 
 def test_predict_on_no_tweets_is_empty(setting):

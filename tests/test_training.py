@@ -1,6 +1,7 @@
 """Training harness: protocol rules, determinism, leakage, sweeps."""
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -114,6 +115,23 @@ def test_config_file_names_the_line_of_a_bad_number(tmp_path):
         parse_config_file(path)
     path.write_text("# rates\nlr_gat = fast\n")
     with pytest.raises(ValueError, match=rf"{path}:2: bad float 'fast' for lr_gat"):
+        parse_config_file(path)
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("# run\nbatch_size = 8\npooling = max\n", 3, "unknown pooling 'max'"),
+        ("fusion_heads = 3\n", 1, "fusion_heads 3 must divide d_model 64"),
+        ("seed = 1\nd_model = 30\n", 2, "fusion_heads 4 must divide d_model 30"),
+        ("max_epochs = 3\nearly_stop_patience = 4\n", 2, "early_stop_patience cannot exceed max_epochs"),
+        ("focal_alpha = 0.5\nfocal_gamma = -1\n", 2, "focal_gamma must be non-negative"),
+    ],
+)
+def test_config_file_names_the_line_of_a_rejected_value(tmp_path, text, line, message):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: {message}")):
         parse_config_file(path)
 
 
