@@ -6,6 +6,9 @@ per-neighborhood softmax, and aggregated. Head outputs are concatenated and
 a projection of the original node features is appended as a residual, so a
 graph with K heads emits (K + 1) * head_dim values per node.
 
+The heads run as one packed pass: one product projects every head and the
+residual, and one [E, K] score array goes through one segment softmax.
+
 Evaluation walks the flat edge list (neighborhoods never materialize a dense
 n x n matrix); the tests hold a dense brute-force twin to compare against.
 With one layer a node's row reads only its own neighborhood, so a pass for a
@@ -24,7 +27,7 @@ from .tensor import (
     Tensor,
     add,
     concat,
-    dropout,
+    dropout_scale,
     elu,
     gather_rows,
     leaky_relu,
@@ -93,14 +96,18 @@ def attention_coefficients(
     attn_vec: Tensor,
     num_nodes: int,
 ) -> Tensor:
-    """Normalized attention weights, one per edge, summing to 1 per source node.
+    """Normalized attention weights per edge, summing to 1 per source node.
+
+    One head: ``projected`` [N, d] and ``attn_vec`` [2d, 1] give [E]. K heads:
+    ``projected`` [N, K, d] and the stacked vectors [2d, K] give [E, K], whose
+    column k equals head k's one-head weights exactly.
 
     The score a . [z_src || z_dst] splits into a per-node term for each end.
     Each term is a row of elementwise products, summed: a BLAS product would
     round a row differently by where it sits among the rows multiplied.
     """
-    halves = reshape(attn_vec, (2, projected.shape[1]))
-    src_term, dst_term = (reduce_sum(mul(projected, halves[k]), axis=1) for k in (0, 1))
+    halves = reshape(attn_vec.T, (-1, 2, projected.shape[-1]))  # [K, 2, d]
+    src_term, dst_term = (reduce_sum(mul(projected, halves[:, k]), axis=-1) for k in (0, 1))
     scores = add(gather_rows(src_term, edge_src), gather_rows(dst_term, edge_dst))
     return segment_softmax(leaky_relu(scores, LEAKY_SLOPE), edge_src, num_nodes)
 
@@ -122,26 +129,26 @@ def gat_forward(
     users' own attention edges, so the pass runs on ``graph.neighbourhood``
     of the distinct users and each row equals the full pass's row exactly.
 
-    With ``rng``, each head's attention coefficients get dropout at
-    ``attn_dropout``. The mask is drawn over every edge of the graph and read
-    at the local edges, so the random stream is the full pass's.
+    With ``rng``, the attention coefficients get dropout at ``attn_dropout``.
+    The mask is one [K, E] draw over every edge of the graph, read at the
+    local edges, so the random stream is the full pass's.
     """
     if node_features.shape[0] != graph.num_nodes:
         raise ValueError("feature rows must match graph nodes")
     wanted = np.arange(graph.num_nodes) if users is None else np.asarray(users, dtype=np.int64)
     nodes, edge_src, edge_dst, edges = graph.neighbourhood(np.unique(wanted), symmetric=symmetric)
-    num_edges = len(edges)
-    parts = []
+    heads, dim, n, num_edges = params.num_heads, params.head_dim, len(nodes), len(edges)
+    projections = params.head_proj + ([] if params.residual_proj is None else [params.residual_proj])
     # Every node is projected, in one product of the full pass's shape: numpy hands a
     # one-row product to another BLAS routine, which rounds differently.
-    for proj, attn in zip(params.head_proj, params.head_attn):
-        z = gather_rows(matmul(node_features, proj), nodes)
-        alpha = attention_coefficients(z, edge_src, edge_dst, attn, len(nodes))
-        if rng is not None:
-            keep = dropout(Tensor(np.ones(len(graph.edge_arrays(symmetric)[0]))), attn_dropout, rng)
-            alpha = mul(alpha, Tensor(keep.data[edges]))
-        weighted = mul(reshape(alpha, (num_edges, 1)), gather_rows(z, edge_dst))
-        parts.append(elu(segment_sum(weighted, edge_src, len(nodes))))
-    if params.residual_proj is not None:
-        parts.append(gather_rows(matmul(node_features, params.residual_proj), nodes))
-    return gather_rows(concat(parts, axis=1), np.searchsorted(nodes, wanted))
+    projected = gather_rows(matmul(node_features, concat(projections, axis=1)), nodes)
+    rows = reshape(projected, (n, len(projections), dim))  # the heads' rows, then the residual's
+    z = rows[:, :heads]
+    alpha = attention_coefficients(z, edge_src, edge_dst, concat(params.head_attn, axis=1), n)
+    keep = dropout_scale((heads, len(graph.edge_arrays(symmetric)[0])), attn_dropout, rng, np.s_[:, edges])
+    if keep is not None:
+        alpha = mul(alpha, Tensor(keep.T))
+    weighted = mul(reshape(alpha, (num_edges, heads, 1)), gather_rows(z, edge_dst))
+    mixed = reshape(segment_sum(reshape(weighted, (num_edges, heads * dim)), edge_src, n), (n, heads, dim))
+    embedded = reshape(concat([elu(mixed), rows[:, heads:]], axis=1), (n, params.output_dim))
+    return gather_rows(embedded, np.searchsorted(nodes, wanted))

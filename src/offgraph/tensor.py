@@ -55,6 +55,7 @@ __all__ = [
     "softmax",
     "layer_norm",
     "dropout",
+    "dropout_scale",
     "clip",
     "segment_softmax",
     "segment_sum",
@@ -321,7 +322,15 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _make(a.data.reshape(shape), (a,), backward)
 
 
+_BASIC_KEYS = (int, np.integer, slice, type(None), type(Ellipsis))
+
+
 def _slice(a: Tensor, key) -> Tensor:
+    """Basic indexing only: with a repeating index array, ``full[key] = g`` would keep one repeat's gradient."""
+    parts = key if isinstance(key, tuple) else (key,)
+    if any(isinstance(p, bool) or not isinstance(p, _BASIC_KEYS) for p in parts):
+        raise ValueError(f"tensors take basic indices only, got {key!r}; use gather_rows for a row lookup")
+
     def backward(g):
         full = np.zeros_like(a.data)
         full[key] = g
@@ -489,16 +498,29 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _make(normed * gain.data + bias.data, (x, gain, bias), backward)
 
 
+def dropout_scale(shape, rate: float, rng: np.random.Generator | None, at=...) -> np.ndarray | None:
+    """Inverted-dropout multipliers for one mask over ``shape``, read at ``at``.
+
+    Each entry is 0 with probability ``rate`` and ``1 / (1 - rate)`` otherwise.
+    The uniforms are drawn over all of ``shape``, so the random stream does
+    not depend on ``at``; only the entries read are thresholded. Returns
+    ``None`` and draws nothing without ``rng`` (evaluation mode) or at rate 0.
+    """
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+    if rng is None or rate == 0.0:
+        return None
+    return (rng.random(shape)[at] >= rate) / (1.0 - rate)
+
+
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None = None) -> Tensor:
     """Inverted dropout: zero with probability ``rate`` and rescale survivors.
 
     Without ``rng`` (evaluation mode) it is the exact identity.
     """
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if rng is None or rate == 0.0:
+    scale = dropout_scale(x.shape, rate, rng)
+    if scale is None:
         return x
-    scale = (rng.random(x.shape) >= rate) / (1.0 - rate)
 
     def backward(g):
         return (g * scale,)
@@ -520,25 +542,29 @@ def clip(x: Tensor, low: float, high: float) -> Tensor:
 
 
 def segment_softmax(scores: Tensor, segment_ids, num_segments: int) -> Tensor:
-    """Softmax over groups of a 1-D score vector, max-shifted per segment.
+    """Softmax over groups of entries of ``scores``, max-shifted per segment.
 
-    ``segment_ids[k]`` names the group of ``scores[k]``; entries of one group
-    sum to 1. Empty segments simply contribute no entries.
+    ``scores`` is [E] or [E, K]; ``segment_ids[e]`` names the group of row
+    ``e``, and each column is normalized on its own, so entries of one group
+    sum to 1 per column. Empty segments simply contribute no entries.
     """
-    if scores.ndim != 1:
-        raise ValueError(f"segment_softmax expects 1-D scores, got {scores.shape}")
-    seg = np.asarray(segment_ids, dtype=np.int64)
-    highs = np.full(num_segments, -np.inf)
-    np.maximum.at(highs, seg, scores.data)
-    ex = np.exp(scores.data - highs[seg])
-    sums = np.zeros(num_segments)
-    np.add.at(sums, seg, ex)
-    out_data = ex / sums[seg]
+    if scores.ndim not in (1, 2):
+        raise ValueError(f"segment_softmax expects [E] or [E, K] scores, got {scores.shape}")
+    width = scores.shape[1] if scores.ndim == 2 else 1
+    # one flat slot per (segment, column): ufunc.at is ~10x faster on 1-D operands
+    slots = (np.asarray(segment_ids, dtype=np.int64)[:, None] * width + np.arange(width)).reshape(scores.shape)
+    flat = slots.reshape(-1)
+    highs = np.full(num_segments * width, -np.inf)
+    np.maximum.at(highs, flat, scores.data.reshape(-1))
+    ex = np.exp(scores.data - highs[slots])
+    sums = np.zeros(num_segments * width)
+    np.add.at(sums, flat, ex.reshape(-1))
+    out_data = ex / sums[slots]
 
     def backward(g):
-        inner = np.zeros(num_segments)
-        np.add.at(inner, seg, out_data * g)
-        return (out_data * (g - inner[seg]),)
+        inner = np.zeros(num_segments * width)
+        np.add.at(inner, flat, (out_data * g).reshape(-1))
+        return (out_data * (g - inner[slots]),)
 
     return _make(out_data, (scores,), backward)
 

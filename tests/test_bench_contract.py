@@ -11,7 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from offgraph.gat import attention_coefficients
+from offgraph.graph import SocialGraph
 from offgraph.model import DetectionModel
+from offgraph.tensor import Tensor
 from offgraph.training import TrainConfig
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -43,3 +46,18 @@ def test_gat_parameter_names_read_by_the_fit_check(ablation):
         assert params[f"gat.head{k}.attn"].shape == (2 * model.gat.head_dim, 1)
     assert f"gat.head{heads}.proj" not in params
     assert params["gat.residual.proj"].shape == (2, model.gat.head_dim)
+
+
+def test_attention_coefficients_one_head_form_read_by_the_fit_check():
+    # the fit check scores each head alone, [N, d] with [2d, 1]; the model scores all heads at once
+    rng = np.random.default_rng(0)
+    n, heads, dim = 12, 3, 16
+    arcs = np.array([(i, j) for i in range(n) for j in range(n) if i != j and rng.random() < 0.4])
+    src, dst = SocialGraph(nodes=[f"u{i}" for i in range(n)], arcs=arcs).edge_arrays()
+    projected, attn = rng.normal(size=(n, heads, dim)), rng.normal(size=(2 * dim, heads))
+    packed = attention_coefficients(Tensor(projected), src, dst, Tensor(attn), n).data
+    assert packed.shape == (len(src), heads)
+    for k in range(heads):
+        alone = attention_coefficients(Tensor(projected[:, k]), src, dst, Tensor(attn[:, k : k + 1]), n).data
+        assert alone.shape == (len(src),)
+        assert np.array_equal(packed[:, k], alone)

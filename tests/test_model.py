@@ -1,5 +1,7 @@
 """Composed model: ablation wiring, parameter groups, predictions."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,10 @@ from offgraph.corpus import TokenSequence, build_vocab, encode, split_corpus
 from offgraph.encoder import encode as encode_tokens
 from offgraph.fusion import add_position_encoding, assemble, classify, fuse_attention
 from offgraph.graph import build_graph, with_node_features
+from offgraph.losses import focal_loss_tensor
 from offgraph.model import ABLATIONS, DetectionModel
 from offgraph.synthetic import generate_corpus
-from offgraph.tensor import concat, dropout, gather_rows, no_grad, reshape
+from offgraph.tensor import concat, dropout, dropout_scale, gather_rows, no_grad, reshape
 from offgraph.training import TrainConfig
 
 
@@ -260,7 +263,13 @@ def test_training_pass_drops_out_at_the_config_rates_in_order(setting, monkeypat
         generators.append(gen)
         return dropout(x, rate, gen)
 
-    for module in (gat, attention, encoder, fusion):
+    def record_gat(shape, rate, gen, at=...):
+        calls.append((rate, shape))
+        generators.append(gen)
+        return dropout_scale(shape, rate, gen, at)
+
+    monkeypatch.setattr(gat, "dropout_scale", record_gat)
+    for module in (attention, encoder, fusion):
         monkeypatch.setattr(module, "dropout", record)
     authors = graph.node_ids([s.author_id for s in seqs])
     model.forward_batch(seqs, model.user_embeddings(graph, authors, rng=rng), rng=rng)
@@ -271,7 +280,7 @@ def test_training_pass_drops_out_at_the_config_rates_in_order(setting, monkeypat
     fused = length + cfg.gat_heads + 1  # token slots, head rows, residual row
     tokens = (hidden, (batch, length, cfg.d_model))
     block = [(attn, (batch, cfg.encoder_heads, length, length)), tokens, tokens]
-    want = [(attn, (edges,))] * cfg.gat_heads + [tokens] + block * cfg.encoder_layers
+    want = [(attn, (cfg.gat_heads, edges)), tokens] + block * cfg.encoder_layers
     want += [(attn, (batch, cfg.fusion_heads, fused, fused)), (hidden, (batch, fused, cfg.d_ff))]
     assert calls == want
     assert all(g is rng for g in generators)
@@ -289,6 +298,20 @@ def test_training_pass_draws_dropout_over_every_edge(setting, symmetric):
     for _ in range(model.gat.num_heads):
         want.random(len(graph.edge_arrays(symmetric)[0]))
     assert rng.bit_generator.state == want.bit_generator.state
+
+
+def test_one_author_with_500_tweets_keeps_loss_and_gradients_finite(setting):
+    _, _, graph, seqs = setting
+    model, _ = _model(setting, attention_dropout=0.3, hidden_dropout=0.2)
+    author = seqs[0].author_id
+    batch = [replace(seqs[i % len(seqs)], author_id=author, label=i % 2) for i in range(500)]
+    rng = np.random.default_rng(0)
+    authors = model.user_embeddings(graph, graph.node_ids([s.author_id for s in batch]), rng=rng)
+    loss = focal_loss_tensor(model.forward_batch(batch, authors, rng=rng), [s.label for s in batch])
+    loss.backward()
+    assert np.isfinite(loss.item())
+    for name, param in model.named_parameters().items():
+        assert param.grad is not None and np.all(np.isfinite(param.grad)), name
 
 
 @pytest.fixture(scope="module")

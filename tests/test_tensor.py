@@ -85,6 +85,16 @@ def test_no_grad_restores_the_flag_after_an_exception():
     assert (w * w).requires_grad
 
 
+def test_indexing_rejects_array_keys():
+    # an index array may repeat a row, and the slice's backward would keep one repeat's gradient
+    x = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
+    for key in ([1, 1], np.array([2, 0, 2]), (slice(None), [0, 0]), np.array([True, False, True, False]), True):
+        with pytest.raises(ValueError, match="gather_rows"):
+            x[key]
+    x[1:3, 0].sum().backward()
+    assert x.grad[:, 0].tolist() == [0.0, 1.0, 1.0, 0.0]
+
+
 def test_gradients_not_stored_without_requires_grad():
     x = Tensor([1.0, 2.0])
     w = Tensor([2.0, 3.0], requires_grad=True)
@@ -154,17 +164,18 @@ def test_every_primitive_matches_finite_differences():
 
 def test_segment_ops_match_finite_differences():
     rng = np.random.default_rng(7)
-    scores = Tensor(rng.uniform(-1.5, 1.5, 7), requires_grad=True)
-    values = Tensor(rng.uniform(-1.0, 1.0, (7, 3)), requires_grad=True)
     seg = np.array([0, 0, 1, 1, 1, 2, 2])
-    weights = Tensor(rng.uniform(0.5, 1.5, 7))
+    for shape in ((7,), (7, 2)):  # one score per edge, and one per edge and head
+        scores = Tensor(rng.uniform(-1.5, 1.5, shape), requires_grad=True)
+        values = Tensor(rng.uniform(-1.0, 1.0, (7, 3)), requires_grad=True)
+        weights = Tensor(rng.uniform(0.5, 1.5, shape))
 
-    def fn():
-        alpha = T.segment_softmax(scores, seg, 3)
-        weighted = T.mul(T.reshape(alpha * weights, (7, 1)), values)
-        return T.segment_sum(weighted, seg, 3).sum()
+        def fn():
+            alpha = T.segment_softmax(scores, seg, 3)
+            weighted = T.mul(T.reshape(alpha * weights, (7, -1, 1)), T.reshape(values, (7, 1, 3)))
+            return T.segment_sum(T.reshape(weighted, (7, -1)), seg, 3).sum()
 
-    assert_gradients_match(fn, [scores, values])
+        assert_gradients_match(fn, [scores, values])
 
 
 def test_softmax_rows_sum_to_one():
@@ -186,11 +197,12 @@ def test_softmax_hand_case():
 def test_segment_softmax_sums_to_one_per_segment():
     rng = np.random.default_rng(3)
     seg = rng.integers(0, 5, 40)
-    alpha = T.segment_softmax(Tensor(rng.normal(0, 2, 40)), seg, 5)
-    sums = np.zeros(5)
-    np.add.at(sums, seg, alpha.data)
     present = np.unique(seg)
-    assert np.max(np.abs(sums[present] - 1.0)) < 1e-9
+    for shape in ((40,), (40, 3)):
+        alpha = T.segment_softmax(Tensor(rng.normal(0, 2, shape)), seg, 5)
+        sums = np.zeros((5,) + shape[1:])
+        np.add.at(sums, seg, alpha.data)
+        assert np.max(np.abs(sums[present] - 1.0)) < 1e-9
 
 
 def test_layer_norm_constant_row_maps_to_zero():
