@@ -1,17 +1,19 @@
 """Directed social graph with per-user behavior features.
 
 Edges run follower -> followee and every node carries a self-loop. Node
-features are always computed from training tweets only; users whose tweets
-all live in the test split (or who never tweet) fall back to the configured
-unknown-feature initialization, which is how test information is masked out
-of the graph. Masking never touches the edge structure.
+features are always computed from training tweets only, which is how test
+information is masked out of the graph: a user whose tweets all live in the
+test split (or who never tweets) looks like a user with no history. Masking
+never touches the edge structure.
 
 Feature component order is (non_offensive_count, offensive_count): the
 non-offensive initialization (1, 1e-6) only makes sense with the benign
 count first, so that convention is fixed here and documented prominently.
 
-Three feature variants exist:
-  * soft: the (non_offensive, offensive) training counts per user,
+``with_node_features`` builds all three variants from one lookup of the
+training tweets' authors, each of whom must be a node of the graph:
+  * soft: the (non_offensive, offensive) training counts per user; users
+    without a training tweet take ``init_unknown_features``,
   * hard: a single 1.0 / 0.0 flag for "has posted offensive language",
   * bow:  binary bag-of-words over the user's training tweets.
 """
@@ -31,9 +33,6 @@ __all__ = [
     "SocialGraph",
     "build_graph",
     "init_unknown_features",
-    "soft_features",
-    "hard_features",
-    "bow_features",
     "with_node_features",
     "mask_test_information",
     "graph_to_dict",
@@ -176,40 +175,6 @@ def init_unknown_features(strategy: str, train_stats: tuple[float, float] | None
     raise ValueError(f"unknown init strategy {strategy!r}; expected one of {INIT_STRATEGIES}")
 
 
-def soft_features(graph: SocialGraph, train_tweets: list[RawTweet], init_strategy: str = "nonoff") -> np.ndarray:
-    """Per-user (non_offensive, offensive) training counts, [n, 2]."""
-    counts: dict[str, np.ndarray] = {}
-    for t in train_tweets:
-        row = counts.setdefault(t.user_id, np.zeros(2))
-        row[1 if t.label == 1 else 0] += 1.0
-    if init_strategy == "avg":
-        known = np.array(list(counts.values())) if counts else np.zeros((1, 2))
-        fallback = init_unknown_features("avg", (known[:, 0].mean(), known[:, 1].mean()))
-    else:
-        fallback = init_unknown_features(init_strategy)
-    out = np.tile(fallback, (graph.num_nodes, 1))
-    for user, row in counts.items():
-        if user in graph.index:
-            out[graph.index[user]] = row
-    return out
-
-
-def hard_features(graph: SocialGraph, train_tweets: list[RawTweet]) -> np.ndarray:
-    """1.0 if the user posted any offensive training tweet, else 0.0, [n, 1]."""
-    offended = {t.user_id for t in train_tweets if t.label == 1}
-    return np.array([[1.0 if u in offended else 0.0] for u in graph.nodes])
-
-
-def bow_features(graph: SocialGraph, train_tweets: list[RawTweet], vocab: Vocab) -> np.ndarray:
-    """Binary token-presence vectors over each user's training tweets, [n, |vocab|]."""
-    out = np.zeros((graph.num_nodes, len(vocab)))
-    for t in train_tweets:
-        row = graph.index[t.user_id]
-        for tok in tokenize(t.text):
-            out[row, vocab.id_of(tok)] = 1.0
-    return out
-
-
 def with_node_features(
     graph: SocialGraph,
     train_tweets: list[RawTweet],
@@ -217,17 +182,31 @@ def with_node_features(
     init_strategy: str = "nonoff",
     vocab: Vocab | None = None,
 ) -> SocialGraph:
-    """New graph carrying features of the chosen variant, structure unchanged."""
-    if variant == "soft":
-        feats = soft_features(graph, train_tweets, init_strategy)
-    elif variant == "hard":
-        feats = hard_features(graph, train_tweets)
-    elif variant == "bow":
-        if vocab is None:
-            raise ValueError("bow features need the vocabulary")
-        feats = bow_features(graph, train_tweets, vocab)
-    else:
+    """New graph carrying features of the chosen variant, structure unchanged.
+
+    Every training tweet's author must be a node; the first one that is not
+    raises a ``ValueError`` naming it.
+    """
+    if variant not in VARIANTS:
         raise ValueError(f"unknown graph variant {variant!r}; expected one of {VARIANTS}")
+    if variant == "bow" and vocab is None:
+        raise ValueError("bow features need the vocabulary")
+    rows = graph.node_ids([t.user_id for t in train_tweets])
+    if variant == "bow":
+        tokens = [[vocab.id_of(tok) for tok in tokenize(t.text)] for t in train_tweets]
+        lengths = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
+        feats = np.zeros((graph.num_nodes, len(vocab)))
+        feats[np.repeat(rows, lengths), np.fromiter(chain.from_iterable(tokens), dtype=np.int64)] = 1.0
+    else:
+        labels = np.fromiter((t.label for t in train_tweets), dtype=np.int64, count=len(train_tweets))
+        counts = np.bincount(2 * rows + labels, minlength=2 * graph.num_nodes).reshape(-1, 2).astype(np.float64)
+        if variant == "hard":
+            feats = (counts[:, 1:] > 0).astype(np.float64)
+        else:
+            seen = counts.any(axis=1)
+            means = counts[seen].mean(axis=0) if seen.any() else np.zeros(2)
+            counts[~seen] = init_unknown_features(init_strategy, means)
+            feats = counts
     return replace(graph, features=feats, variant=variant, init_strategy=init_strategy)
 
 

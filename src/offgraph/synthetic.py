@@ -15,14 +15,12 @@ feature initialization).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .corpus import Corpus
 from .preprocess import RawTweet
 
-__all__ = ["SyntheticConfig", "generate_corpus"]
+__all__ = ["generate_corpus"]
 
 _FUNCTION_WORDS = [
     "the", "a", "to", "and", "of", "in", "on", "for", "is", "it",
@@ -39,17 +37,12 @@ _CONSONANTS = list("bcdfglmnprstvz")
 _VOWELS = list("aeiou")
 
 
-@dataclass
-class SyntheticConfig:
-    num_tweets: int = 1000
-    num_users: int = 100
-    seed: int = 7
-    num_communities: int = 10
-    offender_communities: int = 3
-    offender_rate: float = 0.24  # per-tweet offensive probability inside offender communities
-    background_rate: float = 0.01
-    marker_noise_rate: float = 0.02  # benign tweets that still carry one marker token
-    silent_fraction: float = 0.08  # users who never tweet
+_NUM_COMMUNITIES = 10
+_OFFENDER_COMMUNITIES = 3
+_OFFENDER_RATE = 0.24  # per-tweet offensive probability inside offender communities
+_BACKGROUND_RATE = 0.01
+_MARKER_NOISE_RATE = 0.02  # benign tweets that still carry one marker token
+_SILENT_FRACTION = 0.08  # users who never tweet
 
 
 def _pseudo_word(rng: np.random.Generator, syllables: int) -> str:
@@ -67,48 +60,41 @@ def _word_bank(rng: np.random.Generator, count: int, syllables: int) -> list[str
     return words
 
 
-def generate_corpus(
-    num_tweets: int = 1000,
-    num_users: int = 100,
-    seed: int = 7,
-    config: SyntheticConfig | None = None,
-) -> Corpus:
+def generate_corpus(num_tweets: int = 1000, num_users: int = 100, seed: int = 7) -> Corpus:
     """Deterministic planted corpus; same seed, same bytes."""
-    cfg = config or SyntheticConfig()
-    cfg.num_tweets, cfg.num_users, cfg.seed = num_tweets, num_users, seed
-    if cfg.num_users < cfg.num_communities:
+    if num_users < _NUM_COMMUNITIES:
         raise ValueError("need at least one user per community")
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
 
     benign_words = _word_bank(rng, 160, 2)
     marker_words = _word_bank(rng, 24, 3)
 
-    users = [f"u{i:03d}" for i in range(cfg.num_users)]
-    community = np.array([i * cfg.num_communities // cfg.num_users for i in range(cfg.num_users)])
-    offender_comms = set(rng.choice(cfg.num_communities, size=cfg.offender_communities, replace=False).tolist())
+    users = [f"u{i:03d}" for i in range(num_users)]
+    community = np.array([i * _NUM_COMMUNITIES // num_users for i in range(num_users)])
+    offender_comms = set(rng.choice(_NUM_COMMUNITIES, size=_OFFENDER_COMMUNITIES, replace=False).tolist())
 
-    weights = rng.lognormal(0.0, 0.7, cfg.num_users)
-    silent = rng.choice(cfg.num_users, size=max(1, int(cfg.silent_fraction * cfg.num_users)), replace=False)
+    weights = rng.lognormal(0.0, 0.7, num_users)
+    silent = rng.choice(num_users, size=max(1, int(_SILENT_FRACTION * num_users)), replace=False)
     weights[silent] = 0.0
     # equal tweet mass per community, so the offender share is structural
-    for c in range(cfg.num_communities):
+    for c in range(_NUM_COMMUNITIES):
         members = community == c
         total = weights[members].sum()
         if total > 0:
-            weights[members] /= total * cfg.num_communities
+            weights[members] /= total * _NUM_COMMUNITIES
     weights /= weights.sum()
 
-    authors = rng.choice(cfg.num_users, size=cfg.num_tweets, p=weights)
+    authors = rng.choice(num_users, size=num_tweets, p=weights)
     in_offender_comm = np.array([community[a] in offender_comms for a in authors])
-    offensive_flags = np.zeros(cfg.num_tweets, dtype=bool)
-    for pool, rate in ((np.flatnonzero(in_offender_comm), cfg.offender_rate),
-                       (np.flatnonzero(~in_offender_comm), cfg.background_rate)):
+    offensive_flags = np.zeros(num_tweets, dtype=bool)
+    for pool, rate in ((np.flatnonzero(in_offender_comm), _OFFENDER_RATE),
+                       (np.flatnonzero(~in_offender_comm), _BACKGROUND_RATE)):
         count = int(round(rate * len(pool)))
         if count:
             offensive_flags[rng.choice(pool, size=count, replace=False)] = True
 
     tweets: list[RawTweet] = []
-    for i in range(cfg.num_tweets):
+    for i in range(num_tweets):
         author = int(authors[i])
         offensive = bool(offensive_flags[i])
 
@@ -122,7 +108,7 @@ def generate_corpus(
         if offensive:
             for pos in rng.choice(length, size=min(length, int(rng.integers(3, 6))), replace=False):
                 words[pos] = marker_words[rng.integers(len(marker_words))]
-        elif rng.random() < cfg.marker_noise_rate:
+        elif rng.random() < _MARKER_NOISE_RATE:
             words[rng.integers(length)] = marker_words[rng.integers(len(marker_words))]
 
         decorations = []
@@ -130,7 +116,7 @@ def generate_corpus(
             a, b = rng.choice(benign_words, size=2, replace=False)
             decorations.append(f"#{a.capitalize()}{b.capitalize()}")
         if rng.random() < 0.15:
-            decorations.append("@" + users[rng.integers(cfg.num_users)])
+            decorations.append("@" + users[rng.integers(num_users)])
         if rng.random() < 0.25:
             decorations.append(_EMOJIS[rng.integers(len(_EMOJIS))])
         if rng.random() < 0.04:
@@ -143,7 +129,7 @@ def generate_corpus(
         tweets.append(RawTweet(f"t{i:05d}", users[author], text, int(offensive)))
 
     edges: set[tuple[str, str]] = set()
-    for i in range(cfg.num_users):
+    for i in range(num_users):
         peers = np.flatnonzero(community == community[i])
         peers = peers[peers != i]
         want = min(len(peers), 3 + int(rng.poisson(2.0)))

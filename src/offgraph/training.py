@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -75,6 +76,9 @@ class ConfigError(ValueError):
         self.keys = keys
 
 
+_KINDS = {"bool": bool, "int": numbers.Integral, "float": numbers.Real, "str": str}  # by annotation name
+
+
 @dataclass
 class TrainConfig:
     # protocol
@@ -110,6 +114,10 @@ class TrainConfig:
 
     def validate(self) -> "TrainConfig":
         """Return self, or raise ``ConfigError`` naming the keys of the first rule broken."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, _KINDS[f.type]) or (f.type != "bool" and isinstance(value, bool)):
+                raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}", f.name)
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError("train_fraction must be in (0, 1)", "train_fraction")
         positive = (
@@ -309,7 +317,7 @@ def fit(config: TrainConfig, corpus: Corpus) -> TrainedRun:
     losses: list[float] = []
     f1_history: list[float] = []
     best_metrics: MetricsReport | None = None
-    best_state: dict[str, np.ndarray] = model.state_arrays()
+    best_state: dict[str, np.ndarray] | None = None
     epochs_run = 0
 
     for epoch in range(1, config.max_epochs + 1):
@@ -332,10 +340,10 @@ def fit(config: TrainConfig, corpus: Corpus) -> TrainedRun:
         scores = model.predict(test_seqs, graph)
         report = metrics_report(scores, [s.label for s in test_seqs])
         f1_history.append(report.f1)
-        if report.f1 > stopper.best:
-            best_metrics = report
-            best_state = model.state_arrays()
-        if stopper.update(epoch, report.f1):
+        stop = stopper.update(epoch, report.f1)
+        if stopper.best_epoch == epoch:
+            best_metrics, best_state = report, model.state_arrays()
+        if stop:
             break
 
     result = RunResult(

@@ -5,19 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from offgraph.corpus import Corpus, build_vocab, split_corpus
+from offgraph.corpus import Corpus, build_vocab, split_corpus, tokenize
 from offgraph.graph import (
+    INIT_STRATEGIES,
+    VARIANTS,
     SocialGraph,
-    bow_features,
     build_graph,
     graph_from_dict,
     graph_from_json,
     graph_to_dict,
     graph_to_json,
-    hard_features,
     init_unknown_features,
     mask_test_information,
-    soft_features,
     with_node_features,
 )
 from offgraph.preprocess import RawTweet
@@ -181,20 +180,20 @@ def _toy_graph():
 def test_soft_counts_non_offensive_first():
     g = _toy_graph()
     train = [_tweet(i, "a", label=0) for i in range(5)] + [_tweet(i + 10, "a", label=1) for i in range(3)]
-    feats = soft_features(g, train)
+    feats = with_node_features(g, train, "soft").features
     assert feats[g.index["a"]].tolist() == [5.0, 3.0]
 
 
 def test_soft_unknown_user_gets_init():
     g = _toy_graph()
-    feats = soft_features(g, [_tweet(1, "a", label=0)], init_strategy="nonoff")
+    feats = with_node_features(g, [_tweet(1, "a", label=0)], "soft", "nonoff").features
     assert feats[g.index["c"]].tolist() == [1.0, 1e-6]
 
 
 def test_soft_avg_init_uses_training_means():
     g = _toy_graph()
     train = [_tweet(1, "a", 0), _tweet(2, "a", 0), _tweet(3, "b", 1)]
-    feats = soft_features(g, train, init_strategy="avg")
+    feats = with_node_features(g, train, "soft", "avg").features
     # means over users with training tweets: non-off (2+0)/2, off (0+1)/2
     assert feats[g.index["c"]].tolist() == [1.0, 0.5]
 
@@ -203,7 +202,7 @@ def test_soft_total_conservation():
     corpus = generate_corpus(500, 60, seed=2)
     split = split_corpus(corpus, 0.7, np.random.default_rng(0))
     g = build_graph(corpus)
-    feats = soft_features(g, split.train, init_strategy="all0")
+    feats = with_node_features(g, split.train, "soft", "all0").features
     non_off = sum(1 for t in split.train if t.label == 0)
     off = sum(1 for t in split.train if t.label == 1)
     assert feats[:, 0].sum() == non_off
@@ -215,7 +214,7 @@ def test_soft_total_conservation():
 
 def test_hard_feature_rule():
     g = _toy_graph()
-    feats = hard_features(g, [_tweet(1, "a", 1), _tweet(2, "b", 0)])
+    feats = with_node_features(g, [_tweet(1, "a", 1), _tweet(2, "b", 0)], "hard").features
     assert feats[g.index["a"], 0] == 1.0
     assert feats[g.index["b"], 0] == 0.0
     assert feats[g.index["c"], 0] == 0.0
@@ -225,10 +224,52 @@ def test_bow_union_of_tweets():
     g = _toy_graph()
     train = [_tweet(1, "a", text="a b"), _tweet(2, "a", text="b c")]
     vocab = build_vocab(train)
-    feats = bow_features(g, train, vocab)
+    feats = with_node_features(g, train, "bow", vocab=vocab).features
     row = feats[g.index["a"]]
     assert {i for i in np.flatnonzero(row)} == {vocab.id_of("a"), vocab.id_of("b"), vocab.id_of("c")}
     assert feats[g.index["c"]].sum() == 0.0
+
+
+def test_unknown_author_is_named():
+    g = _toy_graph()
+    for variant in VARIANTS:
+        with pytest.raises(ValueError, match="user 'zed' is not a node of the graph"):
+            with_node_features(g, [_tweet(1, "a"), _tweet(2, "zed")], variant, vocab=build_vocab([]))
+
+
+# Up to 6 users (u0 always a node) and up to 20 training tweets, each an
+# (author, label, text) draw over a five-word alphabet.
+_train_sides = st.lists(
+    st.tuples(st.integers(0, 5), st.integers(0, 1), st.lists(st.sampled_from("abcde"), max_size=4).map(" ".join)),
+    max_size=20,
+)
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 6), _train_sides)
+def test_features_match_a_per_tweet_recount(n, draws):
+    nodes = [f"u{i}" for i in range(n)]
+    g = build_graph(Corpus(tweets=[], edges=[], users=set(nodes)))
+    train = [_tweet(i, nodes[a % n], label, text) for i, (a, label, text) in enumerate(draws)]
+    vocab = build_vocab(train[: len(train) // 2])  # later tweets may hold out-of-vocabulary tokens
+    counts = {u: [0.0, 0.0] for u in nodes}
+    words = {u: set() for u in nodes}
+    for t in train:
+        counts[t.user_id][t.label] += 1.0
+        words[t.user_id].update(vocab.id_of(tok) for tok in tokenize(t.text))
+    seen = [c for c in counts.values() if sum(c)]
+    means = [sum(c[k] for c in seen) / len(seen) if seen else 0.0 for k in (0, 1)]
+    for strategy in INIT_STRATEGIES:
+        fallback = {"all0": [0.0, 0.0], "all1": [1.0, 1.0], "nonoff": [1.0, 1e-6], "avg": means}[strategy]
+        want = {
+            "soft": [counts[u] if sum(counts[u]) else fallback for u in nodes],
+            "hard": [[float(counts[u][1] > 0)] for u in nodes],
+            "bow": [[float(i in words[u]) for i in range(len(vocab))] for u in nodes],
+        }
+        for variant in VARIANTS:
+            got = with_node_features(g, train, variant, strategy, vocab)
+            assert (got.variant, got.init_strategy) == (variant, strategy)
+            assert got.features.dtype == np.float64 and got.features.tolist() == want[variant]
 
 
 # -- masking --------------------------------------------------------------------

@@ -11,6 +11,7 @@ from offgraph.corpus import Corpus, split_corpus
 from offgraph.preprocess import RawTweet
 from offgraph.synthetic import generate_corpus
 from offgraph.training import (
+    ConfigError,
     EarlyStopper,
     TrainConfig,
     TrainingDiverged,
@@ -77,6 +78,15 @@ def test_config_validation():
         TrainConfig(encoder_heads=3).validate()
     with pytest.raises(ValueError, match="gat_heads 3 must divide gat_hidden 64"):
         TrainConfig(gat_heads=3).validate()
+    for key, value, kind in [
+        ("symmetric_neighbors", "false", "bool"), ("stratify_split", 1, "bool"),
+        ("batch_size", "64", "int"), ("max_epochs", 20.0, "int"), ("seed", True, "int"),
+        ("lr_gat", "0.01", "float"), ("focal_gamma", False, "float"), ("pooling", None, "str"),
+    ]:
+        with pytest.raises(ConfigError, match=re.escape(f"{key} must be of type {kind}, got {value!r}")) as info:
+            TrainConfig(**{key: value}).validate()
+        assert info.value.keys == (key,)
+    TrainConfig(lr_gat=1, focal_gamma=np.float64(2.0), seed=np.int64(3)).validate()  # ints and numpy scalars pass
     TrainConfig(attention_dropout=0.0, hidden_dropout=0.0).validate()
     TrainConfig(gat_heads=3, ablation="single_head_gat").validate()  # one head takes all of gat_hidden
 
@@ -388,6 +398,10 @@ def test_checkpoint_is_json_with_shapes(tmp_path, corpus):
     with pytest.raises(ValueError, match="graph_variant 'dense'"):
         load_checkpoint(path)
     payload["config"]["graph_variant"] = "soft"
+    for key, value in (("symmetric_neighbors", "false"), ("batch_size", "64")):
+        path.write_text(json.dumps({**payload, "config": {**payload["config"], key: value}}))
+        with pytest.raises(ValueError, match=f"{key} must be of type"):
+            load_checkpoint(path)
     payload["graph"]["features"] = None
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="no node features"):

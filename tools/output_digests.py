@@ -17,7 +17,8 @@ early_stop_patience = 2``). Covered outputs:
   * ``ablate --variant all``;
   * ``eval`` of each checkpoint on the training tweets and on 300 fresh
     tweets (tweets 1000-1299 of ``generate_corpus(1300, 100, seed=7)``);
-  * ``build-graph`` for soft/nonoff, hard/avg and bow;
+  * ``build-graph`` for soft/nonoff, soft/avg (the training means), hard/avg
+    and bow;
   * ``preprocess`` of both tweet files.
 
 The first stderr line names the imported package, so a listing cannot come
@@ -49,7 +50,7 @@ TRAIN_RUNS = {
     "no_attention_layer": {"ablation": "no_attention_layer"},
     "bow_stratified": {"graph_variant": "bow", "stratify_split": True},
 }
-GRAPHS = (("soft", "nonoff"), ("hard", "avg"), ("bow", "nonoff"))
+GRAPHS = (("soft", "nonoff"), ("soft", "avg"), ("hard", "avg"), ("bow", "nonoff"))
 
 
 def _run(*argv: str) -> None:
