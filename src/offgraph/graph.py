@@ -162,17 +162,21 @@ def build_graph(corpus: Corpus) -> SocialGraph:
 
 def init_unknown_features(strategy: str, train_stats: tuple[float, float] | None = None) -> np.ndarray:
     """Soft-feature vector for a user with no training tweets."""
+    _check_init_strategy(strategy)
     if strategy == "all0":
         return np.array([0.0, 0.0])
     if strategy == "all1":
         return np.array([1.0, 1.0])
     if strategy == "nonoff":
         return np.array([1.0, 1e-6])
-    if strategy == "avg":
-        if train_stats is None:
-            raise ValueError("avg initialization needs the per-category training means")
-        return np.array([float(train_stats[0]), float(train_stats[1])])
-    raise ValueError(f"unknown init strategy {strategy!r}; expected one of {INIT_STRATEGIES}")
+    if train_stats is None:
+        raise ValueError("avg initialization needs the per-category training means")
+    return np.array([float(train_stats[0]), float(train_stats[1])])
+
+
+def _check_init_strategy(strategy: str) -> None:
+    if strategy not in INIT_STRATEGIES:
+        raise ValueError(f"unknown init strategy {strategy!r}; expected one of {INIT_STRATEGIES}")
 
 
 def with_node_features(
@@ -189,6 +193,7 @@ def with_node_features(
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown graph variant {variant!r}; expected one of {VARIANTS}")
+    _check_init_strategy(init_strategy)  # every variant records it, not only soft
     if variant == "bow" and vocab is None:
         raise ValueError("bow features need the vocabulary")
     rows = graph.node_ids([t.user_id for t in train_tweets])

@@ -488,7 +488,10 @@ def load_checkpoint(path) -> Checkpoint:
     unknown = sorted(set(payload["config"]) - {f.name for f in fields(TrainConfig)})
     if unknown:
         raise ValueError(f"{path}: unknown config keys {unknown}")
-    config = TrainConfig(**payload["config"]).validate()
+    try:
+        config = TrainConfig(**payload["config"]).validate()
+    except ConfigError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     vocab = Vocab(tokens=list(payload["vocab"]))
     graph = graph_from_dict(payload["graph"])
     if graph.features is None:

@@ -140,11 +140,34 @@ def test_eval_reads_the_emoji_table_once(workdir, trained, monkeypatch):
     assert len(reads) == 1
 
 
-def test_eval_rejects_unknown_user(trained, tmp_path):
+def _strangers(tmp_path):
+    """Two labelled tweets by a user that no training graph has."""
     rogue = tmp_path / "rogue.jsonl"
-    rogue.write_text(json.dumps({"tweet_id": "x", "user_id": "stranger", "text": "hi", "label": 0}) + "\n")
-    with pytest.raises(SystemExit, match="stranger"):
-        main(["eval", "--checkpoint", str(trained[1]), "--tweets", str(rogue)])
+    rogue.write_text("".join(
+        json.dumps({"tweet_id": f"x{label}", "user_id": "stranger", "text": "hi there", "label": label}) + "\n"
+        for label in (0, 1)
+    ))
+    return rogue
+
+
+def test_eval_rejects_unknown_user(trained, tmp_path, capsys):
+    rc = main(["eval", "--checkpoint", str(trained[1]), "--tweets", str(_strangers(tmp_path))])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: user 'stranger' is not a node of the graph\n"
+
+
+def test_eval_scores_unknown_user_without_a_graph_side(workdir, tmp_path):
+    (tmp_path / "no_gat.cfg").write_text(CONFIG + "ablation = no_gat\n")
+    ckpt, out = tmp_path / "ckpt.json", tmp_path / "eval.json"
+    rc = main([
+        "train", "--config", str(tmp_path / "no_gat.cfg"),
+        "--tweets", str(workdir / "tweets.jsonl"), "--edges", str(workdir / "edges.tsv"),
+        "--out", str(tmp_path / "result.json"), "--checkpoint", str(ckpt),
+    ])
+    assert rc == 0
+    rc = main(["eval", "--checkpoint", str(ckpt), "--tweets", str(_strangers(tmp_path)), "--out", str(out)])
+    assert rc == 0
+    assert sum(json.loads(out.read_text())["confusion"].values()) == 2
 
 
 def test_ablate_single_variant(workdir):

@@ -237,6 +237,13 @@ def test_unknown_author_is_named():
             with_node_features(g, [_tweet(1, "a"), _tweet(2, "zed")], variant, vocab=build_vocab([]))
 
 
+def test_unknown_init_strategy_is_rejected_for_every_variant():
+    g = _toy_graph()
+    for variant in VARIANTS:
+        with pytest.raises(ValueError, match="unknown init strategy 'bogus'"):
+            with_node_features(g, [_tweet(1, "a")], variant, "bogus", vocab=build_vocab([]))
+
+
 # Up to 6 users (u0 always a node) and up to 20 training tweets, each an
 # (author, label, text) draw over a five-word alphabet.
 _train_sides = st.lists(

@@ -400,7 +400,7 @@ def test_checkpoint_is_json_with_shapes(tmp_path, corpus):
     payload["config"]["graph_variant"] = "soft"
     for key, value in (("symmetric_neighbors", "false"), ("batch_size", "64")):
         path.write_text(json.dumps({**payload, "config": {**payload["config"], key: value}}))
-        with pytest.raises(ValueError, match=f"{key} must be of type"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {key} must be of type"):
             load_checkpoint(path)
     payload["graph"]["features"] = None
     path.write_text(json.dumps(payload))
