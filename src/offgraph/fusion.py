@@ -150,11 +150,12 @@ def add_position_encoding(x: Tensor, num_tokens: np.ndarray) -> Tensor:
 
     ``num_tokens`` holds each tweet's token count M, [B] for the batch
     [B, T, d]. Row j sits at position min(j, M), which also covers the padded
-    token slots; those are masked, so their position is moot.
+    token slots; those are masked, so their position is moot. The table is
+    evaluated once for rows 0..T-1 and indexed per tweet.
     """
-    positions = np.minimum(np.arange(x.shape[1]), num_tokens[:, None])
-    table = sinusoidal_encoding(positions.reshape(-1), x.shape[-1])
-    return x + Tensor(table.reshape(positions.shape + (x.shape[-1],)))
+    rows = np.arange(x.shape[1])
+    positions = np.minimum(rows, num_tokens[:, None])
+    return x + Tensor(sinusoidal_encoding(rows, x.shape[-1])[positions])
 
 
 def fuse_attention(

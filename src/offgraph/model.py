@@ -161,15 +161,18 @@ class DetectionModel:
         )
 
     def predict(self, seqs: list[TokenSequence], graph: SocialGraph) -> np.ndarray:
-        """Evaluation-mode probabilities as a plain array.
+        """Evaluation-mode probabilities as a plain array, in the order of ``seqs``.
 
-        Embeds each scored tweet's author once, from the authors'
-        neighbourhoods, then scores off the tape in chunks of
-        ``config.batch_size`` tweets, so memory stays flat in the number of
-        tweets.
+        Scores shortest tweet first, off the tape, in chunks of
+        ``config.batch_size`` tweets, so each chunk pads only to its own
+        longest tweet and memory stays flat in the number of tweets. Each
+        scored tweet's author is embedded once, from the authors'
+        neighbourhoods.
         """
         if not seqs:
             return np.zeros(0)
+        order = np.argsort([len(s) for s in seqs], kind="stable")
+        seqs = [seqs[i] for i in order]
         step = self.config.batch_size
         with no_grad():
             # no lookup without a graph side, so the text-only model scores authors the graph lacks
@@ -180,4 +183,6 @@ class DetectionModel:
                 self.forward_batch(seqs[i : i + step], None if authors is None else authors[i : i + step]).data
                 for i in range(0, len(seqs), step)
             ]
-        return np.concatenate(chunks)
+        probs = np.empty(len(seqs))
+        probs[order] = np.concatenate(chunks)
+        return probs

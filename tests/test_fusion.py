@@ -97,6 +97,18 @@ def test_token_rows_get_distinct_encodings(params):
     assert not np.array_equal(with_pe[0], with_pe[1])
 
 
+# Token counts 0 and T-1 (one user row), a batch with no user rows (T = S, so
+# the longest count is T), a wide batch, and an odd width.
+@pytest.mark.parametrize("dim", [8, 7, 64])
+@pytest.mark.parametrize("counts, rows", [([0, 3, 6], 7), ([6, 1, 0, 2], 6), ([0, 13, 31, 20], 40)])
+def test_position_table_equals_the_per_row_encoding(counts, rows, dim):
+    counts = np.array(counts)
+    x = Tensor(np.random.default_rng(6).normal(size=(len(counts), rows, dim)))
+    positions = np.minimum(np.arange(rows), counts[:, None])
+    per_row = sinusoidal_encoding(positions.reshape(-1), dim).reshape(positions.shape + (dim,))
+    assert np.array_equal(add_position_encoding(x, counts).data, x.data + per_row)
+
+
 # -- fused attention ----------------------------------------------------------------
 
 

@@ -223,11 +223,20 @@ def _tweet_probability(model, seq, author_index, embeddings):
     return classify(x, model.fusion, pooling=model.config.pooling).item()
 
 
-@pytest.mark.parametrize("pooling", ["mean", "cls"])
-@pytest.mark.parametrize("ablation", ABLATIONS)
-def test_batched_forward_matches_per_tweet_reference(setting, ablation, pooling):
+# batch_size 2 and 3 split the length-mixed batch over several chunks, so
+# predict's length order is undone across chunk boundaries; the one-chunk
+# default keeps the plain [ablation-pooling] id
+@pytest.mark.parametrize(
+    "ablation, pooling, batch_size",
+    [
+        pytest.param(a, p, b, id=f"{a}-{p}" + (f"-{b}" if b != 64 else ""))
+        for a in ABLATIONS for p in ("mean", "cls") for b in (64, 2, 3)
+    ],
+)
+def test_batched_forward_matches_per_tweet_reference(setting, ablation, pooling, batch_size):
     _, vocab, graph, seqs = setting
-    model = DetectionModel(_config(ablation=ablation, pooling=pooling), len(vocab), 2, np.random.default_rng(5))
+    config = _config(ablation=ablation, pooling=pooling, batch_size=batch_size)
+    model = DetectionModel(config, len(vocab), 2, np.random.default_rng(5))
     author = seqs[0].author_id
     one_token = TokenSequence(np.array([vocab.CLS]), author, 0, "one")
     longest = TokenSequence(np.arange(24) % len(vocab), author, 1, "long")
@@ -236,6 +245,18 @@ def test_batched_forward_matches_per_tweet_reference(setting, ablation, pooling)
     embeddings = model.user_embeddings(graph)
     want = np.array([_tweet_probability(model, s, graph.index[s.author_id], embeddings) for s in batch])
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def _in_length_order(model, graph, seqs):
+    """One ``forward_batch`` over ``seqs`` in stable length order, its scores
+    put back in caller order: what ``predict`` computes for a single chunk."""
+    order = np.argsort([len(s) for s in seqs], kind="stable")
+    assert not np.array_equal(order, np.arange(len(seqs)))  # the order really is undone
+    ordered = [seqs[i] for i in order]
+    authors = model.user_embeddings(graph, graph.node_ids([s.author_id for s in ordered]))
+    scores = np.empty(len(seqs))
+    scores[order] = model.forward_batch(ordered, authors).data
+    return scores
 
 
 def test_predict_scores_off_the_tape_bit_identically(setting):
@@ -248,7 +269,7 @@ def test_predict_scores_off_the_tape_bit_identically(setting):
         off_tape = model.forward_batch(seqs, model.user_embeddings(graph, authors))
     assert not off_tape.requires_grad
     assert np.array_equal(off_tape.data, on_tape.data)
-    assert np.array_equal(model.predict(seqs, graph), on_tape.data)
+    assert np.array_equal(model.predict(seqs, graph), _in_length_order(model, graph, seqs))
 
 
 def test_training_pass_drops_out_at_the_config_rates_in_order(setting, monkeypatch):
@@ -284,8 +305,7 @@ def test_training_pass_drops_out_at_the_config_rates_in_order(setting, monkeypat
     want += [(attn, (batch, cfg.fusion_heads, fused, fused)), (hidden, (batch, fused, cfg.d_ff))]
     assert calls == want
     assert all(g is rng for g in generators)
-    without_rng = model.forward_batch(seqs, model.user_embeddings(graph, authors, rng=None), rng=None)
-    assert np.array_equal(without_rng.data, model.predict(seqs, graph))
+    assert np.array_equal(_in_length_order(model, graph, seqs), model.predict(seqs, graph))
 
 
 @pytest.mark.parametrize("symmetric", [False, True])

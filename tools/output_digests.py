@@ -17,6 +17,10 @@ early_stop_patience = 2``). Covered outputs:
   * ``ablate --variant all``;
   * ``eval`` of each checkpoint on the training tweets and on 300 fresh
     tweets (tweets 1000-1299 of ``generate_corpus(1300, 100, seed=7)``);
+  * the raw ``float64`` bytes ``predict`` returns for the default
+    checkpoint on the 300 fresh tweets, scored as ``eval`` scores them
+    (``scores_default_fresh.f64``). Eval reports carry thresholded metrics
+    only, so this is the one digest that sees a last-bit change in a score;
   * ``build-graph`` for soft/nonoff, soft/avg (the training means), hard/avg
     and bow;
   * ``preprocess`` of both tweet files.
@@ -37,7 +41,16 @@ from dataclasses import replace
 from pathlib import Path
 
 import offgraph
-from offgraph import cli, generate_corpus, write_edges_tsv, write_tweets_jsonl
+from offgraph import (
+    cli,
+    encode,
+    generate_corpus,
+    load_checkpoint,
+    load_tweets,
+    preprocess,
+    write_edges_tsv,
+    write_tweets_jsonl,
+)
 from offgraph.training import write_config_file
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
@@ -58,6 +71,14 @@ def _run(*argv: str) -> None:
         status = cli.main(list(argv))
     if status != 0:
         raise SystemExit(f"offgraph {' '.join(argv)} failed")
+
+
+def _write_scores(checkpoint: Path, tweets: Path, out: Path) -> Path:
+    """Write the probabilities ``offgraph eval`` computes, as raw float64 bytes."""
+    ckpt = load_checkpoint(checkpoint)
+    seqs = [encode(preprocess(t), ckpt.vocab, ckpt.config.max_len) for t in load_tweets(tweets)]
+    out.write_bytes(ckpt.model.predict(seqs, ckpt.graph).tobytes())
+    return out
 
 
 def produce(work: Path) -> list[Path]:
@@ -81,6 +102,8 @@ def produce(work: Path) -> list[Path]:
             scored = work / f"eval_{name}_{label}.json"
             _run("eval", "--checkpoint", str(ckpt), "--tweets", str(path), "--out", str(scored))
             outputs.append(scored)
+        if name == "default":
+            outputs.append(_write_scores(ckpt, fresh_tweets, work / "scores_default_fresh.f64"))
 
     table = work / "ablate_all.json"
     _run("ablate", "--config", str(work / "default.cfg"), "--variant", "all", *data, "--out", str(table))
