@@ -23,6 +23,7 @@ from .corpus import build_vocab, encode, load_corpus, load_tweets, write_edges_t
 from .graph import INIT_STRATEGIES, VARIANTS, build_graph, graph_to_json, with_node_features
 from .metrics import metrics_report
 from .model import ABLATIONS
+from .outfile import write_chunks
 from .preprocess import EmojiTable, RawTweet
 from .synthetic import generate_corpus
 from .training import (
@@ -42,8 +43,7 @@ __all__ = ["main"]
 
 def _write_or_print(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        write_chunks(out_path, [text if text.endswith("\n") else text + "\n"])
     else:
         print(text)
 

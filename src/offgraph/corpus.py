@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .outfile import write_chunks
 from .preprocess import EmojiTable, RawTweet, preprocess
 
 __all__ = [
@@ -97,21 +98,21 @@ def load_corpus(tweets_path, edges_path) -> Corpus:
 
 
 def write_tweets_jsonl(tweets: list[RawTweet], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for t in tweets:
-            fh.write(
-                json.dumps(
-                    {"tweet_id": t.tweet_id, "user_id": t.user_id, "text": t.text, "label": t.label},
-                    ensure_ascii=False,
-                )
-                + "\n"
+    write_chunks(
+        path,
+        (
+            json.dumps(
+                {"tweet_id": t.tweet_id, "user_id": t.user_id, "text": t.text, "label": t.label},
+                ensure_ascii=False,
             )
+            + "\n"
+            for t in tweets
+        ),
+    )
 
 
 def write_edges_tsv(edges: list[tuple[str, str]], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for follower, followee in edges:
-            fh.write(f"{follower}\t{followee}\n")
+    write_chunks(path, (f"{follower}\t{followee}\n" for follower, followee in edges))
 
 
 def preprocess_corpus(corpus: Corpus, table: EmojiTable | None = None) -> Corpus:

@@ -13,7 +13,10 @@ Conventions:
   * ``backward()`` accumulates one analytic pass into ``.grad`` of the
     leaves only, the tensors no op produced (parameters and inputs);
     intermediate gradients are dropped as soon as they have been passed on.
-    The caller zeroes grads between steps (``optim.zero_grads``),
+    The caller zeroes grads between steps (``optim.zero_grads``).
+    A backward closure may return ``None`` for a parent that does not
+    require grad; ``mul`` and ``matmul`` do, so a constant operand costs no
+    gradient product,
   * a function that draws random numbers takes a ``np.random.Generator``
     and draws nothing without one: ``dropout`` with ``rng=None`` is the
     identity, which is evaluation mode. Dropout uses inverted scaling.
@@ -261,7 +264,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
 
     def backward(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return (
+            _unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+            _unbroadcast(g * a.data, b.shape) if b.requires_grad else None,
+        )
 
     return _make(a.data * b.data, (a, b), backward)
 
@@ -280,7 +286,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         g_rows = g.reshape(-1, g.shape[-1])
-        return (g_rows @ b.data.T).reshape(a.shape), rows.T @ g_rows
+        return (
+            (g_rows @ b.data.T).reshape(a.shape) if a.requires_grad else None,
+            rows.T @ g_rows if b.requires_grad else None,
+        )
 
     return _make((rows @ b.data).reshape(*lead, b.shape[1]), (a, b), backward)
 
@@ -451,9 +460,10 @@ def softmax(a: Tensor, axis: int = -1, mask: np.ndarray | None = None) -> Tensor
     exactly 0 (key padding). Every row needs at least one kept entry.
     """
     scores = a.data if mask is None else a.data + mask
-    shifted = scores - scores.max(axis=axis, keepdims=True)
-    ex = np.exp(shifted)
-    out_data = ex / ex.sum(axis=axis, keepdims=True)
+    # One fresh array, then exp and the divide in place; never into scores, which may be a.data.
+    out_data = scores - scores.max(axis=axis, keepdims=True)
+    np.exp(out_data, out=out_data)
+    out_data /= out_data.sum(axis=axis, keepdims=True)
 
     def backward(g):
         inner = (g * out_data).sum(axis=axis, keepdims=True)

@@ -39,6 +39,7 @@ from .losses import FocalParams, focal_loss_tensor
 from .metrics import MetricsReport, metrics_report
 from .model import ABLATIONS, DetectionModel
 from .optim import Adam, zero_grads
+from .outfile import write_chunks
 
 __all__ = [
     "TrainConfig",
@@ -204,9 +205,7 @@ def parse_config_file(path) -> TrainConfig:
 
 
 def write_config_file(config: TrainConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for key, value in config.to_dict().items():
-            fh.write(f"{key} = {value}\n")
+    write_chunks(path, (f"{key} = {value}\n" for key, value in config.to_dict().items()))
 
 
 class EarlyStopper:
@@ -464,8 +463,7 @@ def save_checkpoint(run: TrainedRun, path) -> None:
             for name, value in run.best_state.items()
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, ensure_ascii=False, indent=2)
+    write_chunks(path, json.JSONEncoder(ensure_ascii=False, indent=2).iterencode(payload))  # as json.dump writes it
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """CLI subcommands and their file formats, driven end to end on tiny data."""
 
 import json
+import os
 
 import pytest
 
@@ -121,6 +122,14 @@ def test_eval_command(workdir, trained):
     assert rc == 0
     report = json.loads(out.read_text())
     assert set(report) == {"auc", "accuracy", "precision", "recall", "f1", "confusion"}
+
+
+def test_eval_writes_to_a_device(workdir, trained):
+    rc = main([
+        "eval", "--checkpoint", str(trained[1]),
+        "--tweets", str(workdir / "tweets.jsonl"), "--out", os.devnull,
+    ])
+    assert rc == 0
 
 
 def test_eval_reads_the_emoji_table_once(workdir, trained, monkeypatch):

@@ -237,6 +237,36 @@ def test_softmax_hand_case():
     assert np.allclose(y.data, [[0.25, 0.75]], atol=1e-12)
 
 
+@pytest.mark.parametrize("padded", [False, True])
+def test_softmax_equals_the_three_temporary_reference_and_leaves_its_input(padded):
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.normal(0, 3, (2, 3, 5, 5)))
+    before = x.data.copy()
+    mask = np.where(rng.random((2, 1, 1, 5)) < 0.4, -np.inf, 0.0) if padded else None
+    if padded:
+        mask[..., 0] = 0.0  # every row keeps at least one entry
+    scores = x.data if mask is None else x.data + mask
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    ex = np.exp(shifted)
+    assert np.array_equal(T.softmax(x, axis=-1, mask=mask).data, ex / ex.sum(axis=-1, keepdims=True))
+    assert np.array_equal(x.data, before)
+
+
+@pytest.mark.parametrize("op, other_shape", [(T.mul, (1, 4)), (T.matmul, (4, 4))])
+def test_a_constant_operand_gets_no_gradient_and_the_other_is_unchanged(op, other_shape):
+    rng = np.random.default_rng(6)
+    x_data, c_data = rng.normal(size=(3, 4)), rng.normal(size=other_shape)
+    upstream = rng.normal(size=(3, 4))
+    both = [Tensor(x_data, requires_grad=True), Tensor(c_data, requires_grad=True)]
+    (op(*both) * Tensor(upstream)).sum().backward()
+    for grad_side in (0, 1):
+        pair = [Tensor(x_data), Tensor(c_data)]
+        pair[grad_side].requires_grad = True
+        (op(*pair) * Tensor(upstream)).sum().backward()
+        assert np.array_equal(pair[grad_side].grad, both[grad_side].grad)
+        assert pair[1 - grad_side].grad is None
+
+
 def test_segment_softmax_sums_to_one_per_segment():
     rng = np.random.default_rng(3)
     seg = rng.integers(0, 5, 40)

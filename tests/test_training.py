@@ -6,8 +6,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from offgraph.corpus import Corpus, split_corpus
+from offgraph.corpus import Corpus, encode, split_corpus
+from offgraph.fusion import POOLINGS
+from offgraph.graph import INIT_STRATEGIES, VARIANTS
+from offgraph.model import ABLATIONS
 from offgraph.preprocess import RawTweet
 from offgraph.synthetic import generate_corpus
 from offgraph.training import (
@@ -96,6 +101,40 @@ def test_config_file_roundtrip(tmp_path):
     path = tmp_path / "run.cfg"
     write_config_file(cfg, path)
     assert parse_config_file(path) == cfg
+
+
+@st.composite
+def _configs(draw):
+    """Any valid TrainConfig: every field drawn, divisibility and patience rules met by construction."""
+    unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    dropout = st.floats(0.0, 1.0, exclude_max=True)
+    rate = st.floats(1e-12, 10.0)
+    size = st.integers(1, 10**6)
+    fusion_heads, encoder_heads, gat_heads = (draw(st.integers(1, 8)) for _ in range(3))
+    max_epochs = draw(st.integers(1, 500))
+    return TrainConfig(
+        train_fraction=draw(unit), batch_size=draw(size), max_epochs=max_epochs,
+        early_stop_patience=draw(st.integers(1, max_epochs)), lr_gat=draw(rate), lr_rest=draw(rate),
+        focal_alpha=draw(unit), focal_gamma=draw(st.floats(0.0, 10.0)),
+        init_strategy=draw(st.sampled_from(INIT_STRATEGIES)), graph_variant=draw(st.sampled_from(VARIANTS)),
+        ablation=draw(st.sampled_from(ABLATIONS)), seed=draw(st.integers(0, 2**63)),
+        stratify_split=draw(st.booleans()), symmetric_neighbors=draw(st.booleans()),
+        gat_hidden=gat_heads * draw(st.integers(1, 64)), gat_heads=gat_heads,
+        d_model=fusion_heads * encoder_heads * draw(st.integers(1, 16)),
+        encoder_layers=draw(st.integers(1, 8)), encoder_heads=encoder_heads, d_ff=draw(size),
+        max_len=draw(size), fusion_heads=fusion_heads, attention_dropout=draw(dropout),
+        hidden_dropout=draw(dropout), pooling=draw(st.sampled_from(POOLINGS)),
+        vocab_min_freq=draw(size), vocab_max_size=draw(size),
+    ).validate()
+
+
+@settings(max_examples=50)
+@given(config=_configs(), previous=_configs())
+def test_any_config_survives_a_file_round_trip_over_an_older_file(tmp_path_factory, config, previous):
+    path = tmp_path_factory.mktemp("cfg") / "run.cfg"
+    write_config_file(previous, path)  # the file is overwritten in place, whichever text is longer
+    write_config_file(config, path)
+    assert parse_config_file(path) == config
 
 
 def test_config_file_rejects_unknown_key(tmp_path):
@@ -382,6 +421,26 @@ def test_checkpoint_roundtrip(tmp_path, corpus):
     assert np.array_equal(loaded.graph.arcs, run.graph.arcs)
     assert np.array_equal(loaded.graph.features, run.graph.features)
     assert (loaded.graph.variant, loaded.graph.init_strategy) == (run.graph.variant, run.graph.init_strategy)
+
+
+@pytest.fixture(scope="module")
+def tiny_run(corpus):
+    return fit(_tiny_config(), corpus)
+
+
+@settings(max_examples=8)
+@given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=2), scale=st.sampled_from([1e-3, 1.0, 1e3]))
+def test_a_checkpoint_survives_save_and_load_with_equal_predict(tmp_path_factory, tiny_run, seeds, scale):
+    """Random parameters (so the JSON length varies) saved over an older checkpoint load back exactly."""
+    path = tmp_path_factory.mktemp("ckpt") / "ckpt.json"
+    seqs = [encode(t, tiny_run.vocab, tiny_run.result.config["max_len"]) for t in tiny_run.split.test[:8]]
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        state = {name: rng.normal(0.0, scale, value.shape) for name, value in tiny_run.best_state.items()}
+        save_checkpoint(replace(tiny_run, best_state=state), path)
+    loaded = load_checkpoint(path)
+    tiny_run.model.load_state_arrays(state)
+    np.testing.assert_array_equal(loaded.model.predict(seqs, loaded.graph), tiny_run.model.predict(seqs, tiny_run.graph))
 
 
 def test_checkpoint_is_json_with_shapes(tmp_path, corpus):
