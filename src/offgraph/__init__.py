@@ -47,12 +47,10 @@ from .training import (
     RunResult,
     TrainConfig,
     TrainingDiverged,
-    ablate,
     fit,
     load_checkpoint,
     parse_config_file,
-    replicate,
-    run_ablation_table,
+    run_grid,
     save_checkpoint,
     sweep,
     train,
@@ -82,7 +80,6 @@ __all__ = [
     "TrainConfig",
     "TrainingDiverged",
     "Vocab",
-    "ablate",
     "auc_score",
     "batches",
     "build_graph",
@@ -106,8 +103,7 @@ __all__ = [
     "preprocess",
     "preprocess_corpus",
     "preprocess_text",
-    "replicate",
-    "run_ablation_table",
+    "run_grid",
     "save_checkpoint",
     "sinusoidal_encoding",
     "split_corpus",

@@ -29,11 +29,10 @@ from .synthetic import generate_corpus
 from .training import (
     SWEEP_AXES,
     TrainConfig,
-    ablate,
     fit,
     load_checkpoint,
     parse_config_file,
-    run_ablation_table,
+    run_grid,
     save_checkpoint,
     sweep,
 )
@@ -111,10 +110,11 @@ def _cmd_eval(args) -> int:
 def _cmd_ablate(args) -> int:
     config, corpus = _config_and_corpus(args)
     if args.variant == "all":
-        rows = run_ablation_table(config, corpus)
+        results = run_grid(config, corpus, [{"ablation": v} for v in ABLATIONS])
+        rows = [{"variant": v, **r.best_metrics.to_dict()} for v, r in zip(ABLATIONS, results)]
         _write_or_print(json.dumps(rows, indent=2), args.out)
     else:
-        result = ablate(config, args.variant, corpus)
+        (result,) = run_grid(config, corpus, [{"ablation": args.variant}])
         _write_or_print(result.to_json(), args.out)
     return 0
 

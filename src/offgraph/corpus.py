@@ -12,6 +12,7 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -142,8 +143,9 @@ class Split:
 
 def _partition(tweets: list[RawTweet], train_fraction: float, rng: np.random.Generator) -> tuple[list, list]:
     order = rng.permutation(len(tweets))
-    # test size floors, train keeps the remainder
-    n_test = int(len(tweets) * (1.0 - train_fraction))
+    # test size is the floor of the exact decimal product (1.0 - 0.8 is 0.19999999999999996 in floats);
+    # train keeps the remainder
+    n_test = int(len(tweets) * (1 - Fraction(str(train_fraction))))
     train_idx, test_idx = order[: len(tweets) - n_test], order[len(tweets) - n_test :]
     return [tweets[i] for i in train_idx], [tweets[i] for i in test_idx]
 

@@ -52,18 +52,11 @@ __all__ = [
     "write_config_file",
     "fit",
     "train",
-    "ablate",
-    "run_ablation_table",
-    "replicate",
+    "run_grid",
     "sweep",
     "save_checkpoint",
     "load_checkpoint",
 ]
-
-SWEEP_AXES = ("train_fraction", "init", "variant")
-INIT_SWEEP_FRACTIONS = (0.1, 0.7)
-FRACTION_SWEEP = tuple(round(0.1 * k, 1) for k in range(1, 10))
-
 
 class TrainingDiverged(RuntimeError):
     pass
@@ -361,51 +354,37 @@ def train(config: TrainConfig, corpus: Corpus) -> RunResult:
     return fit(config, corpus).result
 
 
-def ablate(config: TrainConfig, variant: str, corpus: Corpus) -> RunResult:
-    return train(replace(config, ablation=variant), corpus)
+def run_grid(config: TrainConfig, corpus: Corpus, overrides: list[dict]) -> list[RunResult]:
+    """One ``train`` per override dict, in order, on ``config`` with those fields replaced.
 
-
-def run_ablation_table(config: TrainConfig, corpus: Corpus) -> list[dict]:
-    """One row per ablation variant, full first."""
-    rows = []
-    for variant in ABLATIONS:
-        result = ablate(config, variant, corpus)
-        rows.append({"variant": variant, **result.best_metrics.to_dict()})
-    return rows
-
-
-@dataclass
-class ReplicationReport:
-    runs: list[RunResult]
-    mean: dict[str, float]
-    std: dict[str, float]
-
-    def to_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "std": self.std,
-            "runs": [r.to_dict() for r in self.runs],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-
-def replicate(config: TrainConfig, corpus: Corpus, n: int = 10) -> ReplicationReport:
-    """n independent runs on derived seeds; each resamples the split and init."""
-    if n < 1:
-        raise ValueError("need at least one replication")
-    runs = [train(replace(config, seed=config.seed + i), corpus) for i in range(n)]
-    keys = ("auc", "accuracy", "precision", "recall", "f1")
-    table = {k: np.array([getattr(r.best_metrics, k) for r in runs]) for k in keys}
-    return ReplicationReport(
-        runs=runs,
-        mean={k: float(v.mean()) for k, v in table.items()},
-        std={k: float(v.std()) for k, v in table.items()},
-    )
+    Ablations, sweeps and seed scans are all override lists; a ten-seed scan
+    is ``run_grid(config, corpus, [{"seed": s} for s in range(10)])``.
+    """
+    return [train(replace(config, **o), corpus) for o in overrides]
 
 
 _METRIC_COLUMNS = ("auc", "accuracy", "precision", "recall", "f1")
+
+# Each sweep axis: the CSV's leading columns, then one (cells, overrides) pair per row.
+_SWEEPS = {
+    "train_fraction": (
+        ("train_fraction",),
+        [((f,), {"train_fraction": f}) for f in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)],
+    ),
+    "init": (
+        ("train_fraction", "init_strategy"),
+        [((f, s), {"train_fraction": f, "init_strategy": s}) for f in (0.1, 0.7) for s in INIT_STRATEGIES],
+    ),
+    "variant": (
+        ("model", "graph_variant"),
+        [
+            ((kind, v), {"graph_variant": v, "ablation": ablation})
+            for kind, ablation in (("graph_only", "no_encoder"), ("full", "full"))
+            for v in ("bow", "hard", "soft")
+        ],
+    ),
+}
+SWEEP_AXES = tuple(_SWEEPS)
 
 
 def sweep(config: TrainConfig, axis: str, corpus: Corpus) -> str:
@@ -417,36 +396,16 @@ def sweep(config: TrainConfig, axis: str, corpus: Corpus) -> str:
     ``variant``: the three graph feature variants, each as the graph-only
     model (text encoder removed) and the full model, six rows.
     """
-    rows: list[dict] = []
-    if axis == "train_fraction":
-        for fraction in FRACTION_SWEEP:
-            result = train(replace(config, train_fraction=fraction), corpus)
-            rows.append({"train_fraction": fraction, **_metric_cells(result)})
-        header = ["train_fraction", *_METRIC_COLUMNS]
-    elif axis == "init":
-        for fraction in INIT_SWEEP_FRACTIONS:
-            for strategy in INIT_STRATEGIES:
-                result = train(replace(config, train_fraction=fraction, init_strategy=strategy), corpus)
-                rows.append({"train_fraction": fraction, "init_strategy": strategy, **_metric_cells(result)})
-        header = ["train_fraction", "init_strategy", *_METRIC_COLUMNS]
-    elif axis == "variant":
-        for model_kind, ablation in (("graph_only", "no_encoder"), ("full", "full")):
-            for variant in ("bow", "hard", "soft"):
-                result = train(replace(config, graph_variant=variant, ablation=ablation), corpus)
-                rows.append({"model": model_kind, "graph_variant": variant, **_metric_cells(result)})
-        header = ["model", "graph_variant", *_METRIC_COLUMNS]
-    else:
+    if axis not in _SWEEPS:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
-
+    columns, rows = _SWEEPS[axis]
+    results = run_grid(config, corpus, [overrides for _, overrides in rows])
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=header, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow([*columns, *_METRIC_COLUMNS])
+    for (cells, _), result in zip(rows, results):
+        writer.writerow([*cells, *(repr(getattr(result.best_metrics, k)) for k in _METRIC_COLUMNS)])
     return buffer.getvalue()
-
-
-def _metric_cells(result: RunResult) -> dict:
-    return {k: repr(getattr(result.best_metrics, k)) for k in _METRIC_COLUMNS}
 
 
 # -- checkpoints ----------------------------------------------------------
@@ -483,6 +442,8 @@ def load_checkpoint(path) -> Checkpoint:
     missing = [key for key in _CHECKPOINT_KEYS if not isinstance(payload, dict) or key not in payload]
     if missing:
         raise ValueError(f"{path}: not a checkpoint, missing keys {missing}")
+    if not isinstance(payload["config"], dict):
+        raise ValueError(f"{path}: the checkpoint config is not an object")
     unknown = sorted(set(payload["config"]) - {f.name for f in fields(TrainConfig)})
     if unknown:
         raise ValueError(f"{path}: unknown config keys {unknown}")
@@ -491,13 +452,18 @@ def load_checkpoint(path) -> Checkpoint:
     except ConfigError as exc:
         raise ValueError(f"{path}: {exc}") from None
     vocab = Vocab(tokens=list(payload["vocab"]))
-    graph = graph_from_dict(payload["graph"])
+    try:
+        graph = graph_from_dict(payload["graph"])
+    except KeyError as exc:
+        raise ValueError(f"{path}: the checkpoint graph has no {exc} key") from None
     if graph.features is None:
         raise ValueError(f"{path}: the checkpoint graph has no node features")
     model = DetectionModel(config, len(vocab), graph.features.shape[1], _stream(config.seed, 1))
-    arrays = {
-        name: np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        for name, entry in payload["params"].items()
-    }
+    arrays = {}
+    for name, entry in payload["params"].items():
+        try:
+            arrays[name] = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+        except KeyError as exc:
+            raise ValueError(f"{path}: checkpoint parameter {name!r} has no {exc} key") from None
     model.load_state_arrays(arrays)
     return Checkpoint(config=config, model=model, vocab=vocab, graph=graph)

@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from offgraph.corpus import (
     Corpus,
@@ -102,11 +104,22 @@ def test_split_sparse_fraction_arithmetic():
     assert len(split.train) == 1278
 
 
-def test_split_disjoint_union():
-    corpus = Corpus(tweets=[_tweet(i) for i in range(33)], edges=[])
-    split = split_corpus(corpus, 0.4, np.random.default_rng(9))
+@settings(max_examples=200, deadline=None)
+@given(
+    labels=st.lists(st.integers(0, 1), min_size=1, max_size=400),
+    tenths=st.integers(1, 9),
+    seed=st.integers(0, 2**32 - 1),
+    stratify=st.booleans(),
+)
+def test_split_partitions_ids_with_exact_floor_test_size(labels, tenths, seed, stratify):
+    """The test side holds floor(n * (1 - fraction)) tweets, taken per class with ``stratify``."""
+    corpus = Corpus(tweets=[_tweet(i, label=label) for i, label in enumerate(labels)], edges=[])
+    split = split_corpus(corpus, tenths / 10, np.random.default_rng(seed), stratify)
     assert split.train_ids & split.test_ids == set()
     assert split.train_ids | split.test_ids == {t.tweet_id for t in corpus.tweets}
+    for group in ({0}, {1}) if stratify else ({0, 1},):
+        n = sum(label in group for label in labels)
+        assert sum(t.label in group for t in split.test) == n * (10 - tenths) // 10
 
 
 def test_split_stratified_keeps_ratio():

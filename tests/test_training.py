@@ -20,12 +20,10 @@ from offgraph.training import (
     EarlyStopper,
     TrainConfig,
     TrainingDiverged,
-    ablate,
     fit,
     load_checkpoint,
     parse_config_file,
-    replicate,
-    run_ablation_table,
+    run_grid,
     save_checkpoint,
     sweep,
     train,
@@ -292,23 +290,29 @@ def test_divergence_aborts(corpus):
         train(cfg, corpus)
 
 
-# -- ablations -------------------------------------------------------------------
+# -- experiment grids -------------------------------------------------------------
+
+
+def test_run_grid_is_one_train_per_override_in_order(corpus):
+    cfg = _tiny_config(max_epochs=1, early_stop_patience=1)
+    overrides = [{"seed": 3}, {"ablation": "no_gat", "seed": 1}, {"graph_variant": "hard"}]
+    grid = run_grid(cfg, corpus, overrides)
+    assert [r.seed for r in grid] == [3, 1, cfg.seed]
+    assert [r.to_json().encode() for r in grid] == [train(replace(cfg, **o), corpus).to_json().encode() for o in overrides]
 
 
 def test_ablate_rejects_unknown(corpus):
     with pytest.raises(ValueError, match=r"unknown ablation 'nope'; expected one of \('full', "):
-        ablate(_tiny_config(), "nope", corpus)
+        run_grid(_tiny_config(), corpus, [{"ablation": "nope"}])
 
 
 def test_ablation_table_has_six_rows(corpus):
     cfg = _tiny_config(max_epochs=1, early_stop_patience=1)
-    rows = run_ablation_table(cfg, corpus)
-    assert len(rows) == 6
-    assert rows[0]["variant"] == "full"
-    assert {r["variant"] for r in rows} == {
+    results = run_grid(cfg, corpus, [{"ablation": v} for v in ABLATIONS])
+    assert [r.config["ablation"] for r in results] == [
         "full", "no_gat", "no_encoder", "no_gat_residual", "single_head_gat", "no_attention_layer",
-    }
-    assert all("f1" in r for r in rows)
+    ]
+    assert all(0.0 <= r.best_metrics.f1 <= 1.0 for r in results)
 
 
 def test_no_encoder_run_is_author_granular(corpus):
@@ -326,21 +330,13 @@ def test_no_encoder_run_is_author_granular(corpus):
     assert probs[0] == probs[1]
 
 
-# -- replication -----------------------------------------------------------------
-
-
-def test_replicate_single_run_equals_train(corpus):
-    cfg = _tiny_config(max_epochs=1, early_stop_patience=1)
-    report = replicate(cfg, corpus, n=1)
-    single = train(cfg, corpus)
-    assert report.mean["f1"] == single.best_metrics.f1
-    assert report.std["f1"] == 0.0
+# -- seed scans -----------------------------------------------------------------
 
 
 @pytest.mark.slow
 def test_replicate_ten_runs_are_stable():
-    # calibrated once at this exact setting: every derived seed transitions
-    # within the epoch budget, so F1 varies only mildly across replications
+    # calibrated once at this exact setting: every seed in the scan
+    # transitions within the epoch budget, so F1 varies only mildly across runs
     corpus = generate_corpus(400, 50, seed=9)
     cfg = TrainConfig(
         max_epochs=20, early_stop_patience=14, batch_size=64,
@@ -349,19 +345,11 @@ def test_replicate_ten_runs_are_stable():
         encoder_heads=4, d_ff=64, max_len=32, fusion_heads=2, seed=100,
         stratify_split=True,
     )
-    report = replicate(cfg, corpus, n=10)
-    assert len(report.runs) == 10
-    assert report.std["f1"] < 0.05
-    assert report.mean["f1"] > 0.9
-
-
-def test_replicate_mean_is_arithmetic_mean(corpus):
-    cfg = _tiny_config(max_epochs=1, early_stop_patience=1)
-    report = replicate(cfg, corpus, n=3)
-    f1s = [r.best_metrics.f1 for r in report.runs]
-    assert abs(report.mean["f1"] - np.mean(f1s)) < 1e-12
-    seeds = [r.seed for r in report.runs]
-    assert seeds == [cfg.seed, cfg.seed + 1, cfg.seed + 2]
+    runs = run_grid(cfg, corpus, [{"seed": 100 + i} for i in range(10)])
+    f1 = np.array([r.best_metrics.f1 for r in runs])
+    assert len(f1) == 10
+    assert f1.std() < 0.05
+    assert f1.mean() > 0.9
 
 
 # -- sweeps ----------------------------------------------------------------------
@@ -460,6 +448,16 @@ def test_checkpoint_is_json_with_shapes(tmp_path, corpus):
     for key, value in (("symmetric_neighbors", "false"), ("batch_size", "64")):
         path.write_text(json.dumps({**payload, "config": {**payload["config"], key: value}}))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {key} must be of type"):
+            load_checkpoint(path)
+    no_nodes = {k: v for k, v in payload["graph"].items() if k != "nodes"}
+    malformed = (
+        ("config", ["seed"], "the checkpoint config is not an object"),
+        ("graph", no_nodes, "the checkpoint graph has no 'nodes' key"),
+        ("params", {**payload["params"], name: {"shape": entry["shape"]}}, f"checkpoint parameter '{name}' has no 'data' key"),
+    )
+    for key, value, message in malformed:
+        path.write_text(json.dumps({**payload, key: value}))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
             load_checkpoint(path)
     payload["graph"]["features"] = None
     path.write_text(json.dumps(payload))

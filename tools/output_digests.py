@@ -14,7 +14,8 @@ early_stop_patience = 2``). Covered outputs:
   * ``train`` result JSON and checkpoint for the default config,
     ``symmetric_neighbors = true``, ``ablation = no_attention_layer``, and
     ``graph_variant = bow`` with ``stratify_split = true``;
-  * ``ablate --variant all``;
+  * ``ablate --variant all`` and ``sweep --axis variant`` on the default
+    config;
   * ``eval`` of each checkpoint on the training tweets and on 300 fresh
     tweets (tweets 1000-1299 of ``generate_corpus(1300, 100, seed=7)``);
   * the raw ``float64`` bytes ``predict`` returns for the default
@@ -108,6 +109,9 @@ def produce(work: Path) -> list[Path]:
     table = work / "ablate_all.json"
     _run("ablate", "--config", str(work / "default.cfg"), "--variant", "all", *data, "--out", str(table))
     outputs.append(table)
+    grid = work / "sweep_variant.csv"
+    _run("sweep", "--axis", "variant", "--config", str(work / "default.cfg"), *data, "--out", str(grid))
+    outputs.append(grid)
     for variant, init in GRAPHS:
         graph = work / f"graph_{variant}_{init}.json"
         _run("build-graph", *data, "--variant", variant, "--init", init, "--out", str(graph))
