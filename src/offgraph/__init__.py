@@ -29,7 +29,6 @@ from .gat import GatParams, gat_forward
 from .graph import (
     SocialGraph,
     build_graph,
-    graph_from_json,
     graph_to_json,
     init_unknown_features,
     mask_test_information,
@@ -90,7 +89,6 @@ __all__ = [
     "focal_loss_tensor",
     "gat_forward",
     "generate_corpus",
-    "graph_from_json",
     "graph_to_json",
     "init_unknown_features",
     "load_checkpoint",

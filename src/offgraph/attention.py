@@ -1,4 +1,9 @@
-"""Scaled dot-product multi-head attention shared by the encoder and fusion layers."""
+"""Scaled dot-product multi-head attention shared by the encoder and fusion layers.
+
+Every block packs its query, key and value projections into one ``wqkv``
+[d, 3d] (and optionally one ``bqkv`` [3d]): columns [0, d) are Q, [d, 2d) K
+and [2d, 3d) V, and within each, head h owns columns h*d_k .. (h+1)*d_k.
+"""
 
 from __future__ import annotations
 
@@ -6,23 +11,26 @@ import math
 
 import numpy as np
 
+from .optim import xavier_normal_init
 from .tensor import Tensor, batched_matmul, dropout, matmul, reshape, softmax, transpose
 
-__all__ = ["multi_head_attention"]
+__all__ = ["qkv_init", "multi_head_attention"]
+
+
+def qkv_init(d_model: int, rng: np.random.Generator) -> Tensor:
+    """Trainable packed [d, 3d] projection: three [d, d] Xavier draws from ``rng`` in Q, K, V order."""
+    draws = [xavier_normal_init(d_model, d_model, rng).data for _ in range(3)]
+    return Tensor(np.concatenate(draws, axis=1), requires_grad=True)
 
 
 def multi_head_attention(
     x: Tensor,
-    wq: Tensor,
-    wk: Tensor,
-    wv: Tensor,
+    wqkv: Tensor,
     wo: Tensor,
     num_heads: int,
     *,
     mask: np.ndarray,
-    bq: Tensor | None = None,
-    bk: Tensor | None = None,
-    bv: Tensor | None = None,
+    bqkv: Tensor | None = None,
     bo: Tensor | None = None,
     rng: np.random.Generator | None = None,
     attn_dropout: float = 0.0,
@@ -31,25 +39,22 @@ def multi_head_attention(
 
     ``x`` is a padded batch [B, S, d] whose real rows ``mask`` [B, S] marks.
     Padded rows are never attended to; their own outputs are computed but
-    meaningless. The packed Q/K/V projections split into heads by a reshape
-    to [B, H, S, d_k]; each head scores with 1/sqrt(d_k) scaling and
-    softmax-normalizes per query row, and the concatenated head outputs pass
-    through the output projection. Dropout at ``attn_dropout`` is applied to
-    the attention probabilities when ``rng`` is given.
+    meaningless. One product with the packed projection gives Q, K and V,
+    split into heads by a reshape to [3, B, H, S, d_k]; each head scores with
+    1/sqrt(d_k) scaling and softmax-normalizes per query row, and the
+    concatenated head outputs pass through the output projection. Dropout at
+    ``attn_dropout`` is applied to the attention probabilities when ``rng``
+    is given.
     """
     batch, length, d_model = x.shape
     if d_model % num_heads:
         raise ValueError(f"width {d_model} not divisible by {num_heads} heads")
     d_k = d_model // num_heads
 
-    def heads(w, b, axes):
-        projected = matmul(x, w) if b is None else matmul(x, w) + b
-        return transpose(reshape(projected, (batch, length, num_heads, d_k)), axes)
-
-    q = heads(wq, bq, (0, 2, 1, 3))  # [B, H, S, d_k]
-    k_t = heads(wk, bk, (0, 2, 3, 1))  # [B, H, d_k, S]
-    v = heads(wv, bv, (0, 2, 1, 3))
-    scores = batched_matmul(q, k_t) * Tensor(1.0 / math.sqrt(d_k))
+    packed = matmul(x, wqkv) if bqkv is None else matmul(x, wqkv) + bqkv
+    qkv = transpose(reshape(packed, (batch, length, 3, num_heads, d_k)), (2, 0, 3, 1, 4))  # [3, B, H, S, d_k]
+    q, k, v = qkv[0], qkv[1], qkv[2]
+    scores = batched_matmul(q, transpose(k, (0, 1, 3, 2))) * Tensor(1.0 / math.sqrt(d_k))
     key_mask = np.where(mask, 0.0, -np.inf)[:, None, None, :]  # [B, 1, 1, S]
     probs = dropout(softmax(scores, axis=-1, mask=key_mask), attn_dropout, rng)
 

@@ -198,9 +198,6 @@ class Vocab:
     def id_of(self, token: str) -> int:
         return self.index.get(token, self.UNK)
 
-    def decode(self, ids) -> list[str]:
-        return [self.tokens[i] for i in ids]
-
 
 _TOKEN = re.compile(r"<[a-z]+>|[a-z0-9_]+(?:'[a-z]+)?")
 

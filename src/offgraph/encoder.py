@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import multi_head_attention
+from .attention import multi_head_attention, qkv_init
 from .optim import named_tensors, ones_init, xavier_normal_init, zeros_init
 from .tensor import Tensor, dropout, gather_rows, layer_norm, matmul, relu
 
@@ -26,13 +26,9 @@ __all__ = ["EncoderBlockParams", "EncoderParams", "self_attention_block", "encod
 class EncoderBlockParams:
     ln1_gain: Tensor
     ln1_bias: Tensor
-    wq: Tensor
-    wk: Tensor
-    wv: Tensor
+    wqkv: Tensor  # [d, 3d], Q | K | V
     wo: Tensor
-    bq: Tensor
-    bk: Tensor
-    bv: Tensor
+    bqkv: Tensor
     bo: Tensor
     ln2_gain: Tensor
     ln2_bias: Tensor
@@ -45,11 +41,9 @@ class EncoderBlockParams:
     def init(cls, d_model: int, d_ff: int, rng: np.random.Generator) -> "EncoderBlockParams":
         return cls(
             ln1_gain=ones_init(d_model), ln1_bias=zeros_init(d_model),
-            wq=xavier_normal_init(d_model, d_model, rng),
-            wk=xavier_normal_init(d_model, d_model, rng),
-            wv=xavier_normal_init(d_model, d_model, rng),
+            wqkv=qkv_init(d_model, rng),
             wo=xavier_normal_init(d_model, d_model, rng),
-            bq=zeros_init(d_model), bk=zeros_init(d_model), bv=zeros_init(d_model), bo=zeros_init(d_model),
+            bqkv=zeros_init(3 * d_model), bo=zeros_init(d_model),
             ln2_gain=ones_init(d_model), ln2_bias=zeros_init(d_model),
             ffn_w1=xavier_normal_init(d_model, d_ff, rng),
             ffn_b1=zeros_init(d_ff),
@@ -113,9 +107,8 @@ def self_attention_block(
 ) -> Tensor:
     """One pre-norm residual attention + feed-forward block over padded [B, S, d] rows."""
     attended = multi_head_attention(
-        layer_norm(x, block.ln1_gain, block.ln1_bias), block.wq, block.wk, block.wv, block.wo, num_heads,
-        mask=mask, bq=block.bq, bk=block.bk, bv=block.bv, bo=block.bo,
-        rng=rng, attn_dropout=attn_dropout,
+        layer_norm(x, block.ln1_gain, block.ln1_bias), block.wqkv, block.wo, num_heads,
+        mask=mask, bqkv=block.bqkv, bo=block.bo, rng=rng, attn_dropout=attn_dropout,
     )
     x = x + dropout(attended, hidden_dropout, rng)
     hidden = relu(matmul(layer_norm(x, block.ln2_gain, block.ln2_bias), block.ffn_w1) + block.ffn_b1)

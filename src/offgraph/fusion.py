@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import multi_head_attention
+from .attention import multi_head_attention, qkv_init
 from .optim import named_tensors, ones_init, xavier_normal_init, zeros_init
 from .tensor import (
     Tensor,
@@ -56,9 +56,7 @@ class FusionParams:
     residual_adapter: Tensor | None  # [gat_head_dim, d_model]
     ln1_gain: Tensor | None
     ln1_bias: Tensor | None
-    wq: Tensor | None
-    wk: Tensor | None
-    wv: Tensor | None
+    wqkv: Tensor | None  # [d, 3d], Q | K | V
     wo: Tensor | None
     ln2_gain: Tensor | None
     ln2_bias: Tensor | None
@@ -88,9 +86,7 @@ class FusionParams:
             ),
             ln1_gain=ones_init(d_model) if with_attention else None,
             ln1_bias=zeros_init(d_model) if with_attention else None,
-            wq=xavier_normal_init(d_model, d_model, rng) if with_attention else None,
-            wk=xavier_normal_init(d_model, d_model, rng) if with_attention else None,
-            wv=xavier_normal_init(d_model, d_model, rng) if with_attention else None,
+            wqkv=qkv_init(d_model, rng) if with_attention else None,
             wo=xavier_normal_init(d_model, d_model, rng) if with_attention else None,
             ln2_gain=ones_init(d_model) if with_attention else None,
             ln2_bias=zeros_init(d_model) if with_attention else None,
@@ -169,8 +165,7 @@ def fuse_attention(
     """Layer norm, multi-head attention over ``mask``'s rows, residual link, second layer norm."""
     normed = layer_norm(x, params.ln1_gain, params.ln1_bias)
     attended = multi_head_attention(
-        normed, params.wq, params.wk, params.wv, params.wo, params.num_heads, mask=mask,
-        rng=rng, attn_dropout=attn_dropout,
+        normed, params.wqkv, params.wo, params.num_heads, mask=mask, rng=rng, attn_dropout=attn_dropout,
     )
     return layer_norm(x + attended, params.ln2_gain, params.ln2_bias)
 

@@ -38,7 +38,6 @@ __all__ = [
     "graph_to_dict",
     "graph_from_dict",
     "graph_to_json",
-    "graph_from_json",
 ]
 
 INIT_STRATEGIES = ("all0", "all1", "avg", "nonoff")
@@ -73,6 +72,8 @@ class SocialGraph:
             raise ValueError("arcs must not hold a self-follow")
         if np.any(np.diff(arcs[:, 0] * n + arcs[:, 1]) <= 0):
             raise ValueError("arcs must be sorted by (follower, followee) without repeats")
+        if self.features is not None and (self.features.ndim != 2 or len(self.features) != n):
+            raise ValueError(f"features must hold one row per node, [{n}, F], got shape {self.features.shape}")
         arcs.flags.writeable = False
 
     @property
@@ -248,7 +249,3 @@ def graph_from_dict(payload: dict) -> SocialGraph:
 
 def graph_to_json(graph: SocialGraph) -> str:
     return json.dumps(graph_to_dict(graph), ensure_ascii=False, indent=2)
-
-
-def graph_from_json(text: str) -> SocialGraph:
-    return graph_from_dict(json.loads(text))

@@ -125,18 +125,6 @@ class MetricsReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "MetricsReport":
-        c = payload["confusion"]
-        return cls(
-            auc=payload["auc"],
-            accuracy=payload["accuracy"],
-            precision=payload["precision"],
-            recall=payload["recall"],
-            f1=payload["f1"],
-            confusion=ConfusionMatrix(c["tp"], c["fn"], c["fp"], c["tn"]),
-        )
-
 
 def metrics_report(scores, labels, threshold: float = 0.5) -> MetricsReport:
     """Full report from probability scores; predictions are score >= threshold."""

@@ -433,7 +433,19 @@ class Checkpoint:
     graph: SocialGraph
 
 
-_CHECKPOINT_KEYS = ("config", "vocab", "graph", "params")
+_CHECKPOINT_KEYS = {"config": (dict, "an object"), "vocab": (list, "a list"), "graph": (dict, "an object"),
+                    "params": (dict, "an object")}
+
+
+def _fold_legacy_qkv(arrays: dict[str, np.ndarray]) -> None:
+    """Files written before the packed layout hold ``<p>.wq/.wk/.wv`` and
+    ``<p>.bq/.bk/.bv``; fold each complete triple into ``<p>.wqkv`` / ``<p>.bqkv``.
+    A partial triple keeps its names, so the model rejects it."""
+    for name in [n for n in arrays if n.endswith((".wq", ".bq"))]:
+        stem = name[:-1]
+        parts = [stem + part for part in "qkv"]
+        if all(part in arrays for part in parts) and stem + "qkv" not in arrays:
+            arrays[stem + "qkv"] = np.concatenate([arrays.pop(part) for part in parts], axis=-1)
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -442,8 +454,9 @@ def load_checkpoint(path) -> Checkpoint:
     missing = [key for key in _CHECKPOINT_KEYS if not isinstance(payload, dict) or key not in payload]
     if missing:
         raise ValueError(f"{path}: not a checkpoint, missing keys {missing}")
-    if not isinstance(payload["config"], dict):
-        raise ValueError(f"{path}: the checkpoint config is not an object")
+    for key, (kind, what) in _CHECKPOINT_KEYS.items():
+        if not isinstance(payload[key], kind):
+            raise ValueError(f"{path}: the checkpoint {key} is not {what}")
     unknown = sorted(set(payload["config"]) - {f.name for f in fields(TrainConfig)})
     if unknown:
         raise ValueError(f"{path}: unknown config keys {unknown}")
@@ -451,19 +464,32 @@ def load_checkpoint(path) -> Checkpoint:
         config = TrainConfig(**payload["config"]).validate()
     except ConfigError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    vocab = Vocab(tokens=list(payload["vocab"]))
+    try:
+        vocab = Vocab(tokens=payload["vocab"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: the checkpoint vocab is malformed ({exc})") from None
     try:
         graph = graph_from_dict(payload["graph"])
     except KeyError as exc:
         raise ValueError(f"{path}: the checkpoint graph has no {exc} key") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: the checkpoint graph is malformed ({exc})") from None
     if graph.features is None:
         raise ValueError(f"{path}: the checkpoint graph has no node features")
     model = DetectionModel(config, len(vocab), graph.features.shape[1], _stream(config.seed, 1))
     arrays = {}
     for name, entry in payload["params"].items():
+        if not isinstance(entry, dict):
+            raise ValueError(f"{path}: checkpoint parameter {name!r} is not an object")
         try:
             arrays[name] = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
         except KeyError as exc:
             raise ValueError(f"{path}: checkpoint parameter {name!r} has no {exc} key") from None
-    model.load_state_arrays(arrays)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: checkpoint parameter {name!r} has a malformed shape or data ({exc})") from None
+    _fold_legacy_qkv(arrays)
+    try:
+        model.load_state_arrays(arrays)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return Checkpoint(config=config, model=model, vocab=vocab, graph=graph)

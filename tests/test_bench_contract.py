@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from offgraph import encoder, fusion
+from offgraph.corpus import TokenSequence
 from offgraph.gat import attention_coefficients
 from offgraph.graph import SocialGraph
 from offgraph.model import DetectionModel
@@ -33,6 +35,25 @@ def test_traced_entry_points_are_own_attributes(owner, attr):
     # the owner itself, not on a base class or another module
     assert attr in owner.__dict__, f"{owner.__name__}.{attr}"
     assert callable(owner.__dict__[attr])
+
+
+def test_every_attention_block_calls_through_the_patched_names(monkeypatch):
+    # attention.s is the time spent inside encoder.multi_head_attention and
+    # fusion.multi_head_attention; a forward that stopped calling through those
+    # module attributes would leave it at zero without failing anything else
+    calls = {}
+    for module in (encoder, fusion):
+        def counting(*args, _inner=module.multi_head_attention, _name=module.__name__, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, "multi_head_attention", counting)
+    config = TrainConfig(gat_hidden=8, gat_heads=2, d_model=8, encoder_layers=3, encoder_heads=2, fusion_heads=2)
+    model = DetectionModel(config, 10, 2, np.random.default_rng(0))
+    seqs = [TokenSequence(np.array([2, 4, 5]), "u0", 0, "t0"), TokenSequence(np.array([2, 7]), "u1", 1, "t1")]
+    authors = Tensor(np.ones((2, model.gat.output_dim)))
+    assert model.forward_batch(seqs, authors).shape == (2,)
+    assert calls == {"offgraph.encoder": config.encoder_layers, "offgraph.fusion": 1}
 
 
 @pytest.mark.parametrize("ablation", ["full", "single_head_gat"])

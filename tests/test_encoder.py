@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from offgraph.attention import qkv_init
 from offgraph.encoder import EncoderBlockParams, EncoderParams, encode, self_attention_block
+from offgraph.optim import xavier_normal_init
 from offgraph.tensor import Tensor
 
 from gradcheck import assert_gradients_match
@@ -84,6 +86,15 @@ def test_zeroed_output_projection_leaves_ffn_path():
     assert np.allclose(out, want, atol=1e-12)
 
 
+def test_qkv_init_is_three_xavier_draws_in_order():
+    packed_rng, rng = np.random.default_rng(11), np.random.default_rng(11)
+    packed = qkv_init(6, packed_rng)
+    draws = [xavier_normal_init(6, 6, rng).data for _ in range(3)]
+    assert packed.shape == (6, 18) and packed.requires_grad
+    assert np.array_equal(packed.data, np.concatenate(draws, axis=1))
+    assert packed_rng.random() == rng.random()  # and leaves the stream where the three draws do
+
+
 def test_single_block_matches_hand_rolled_oracle():
     """Dense re-derivation of one pre-norm block on a 2-token, d_model=4 case."""
     rng = np.random.default_rng(3)
@@ -96,9 +107,10 @@ def test_single_block_matches_hand_rolled_oracle():
         return (v - mu) / np.sqrt(var + eps) * gain + bias
 
     h = ln(x, block.ln1_gain.data, block.ln1_bias.data)
-    q = h @ block.wq.data + block.bq.data
-    k = h @ block.wk.data + block.bk.data
-    v = h @ block.wv.data + block.bv.data
+    w, b = block.wqkv.data, block.bqkv.data  # Q | K | V column blocks, each [4, 4]
+    q = h @ w[:, 0:4] + b[0:4]
+    k = h @ w[:, 4:8] + b[4:8]
+    v = h @ w[:, 8:12] + b[8:12]
     heads = []
     d_k = 2
     for hd in range(2):

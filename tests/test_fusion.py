@@ -123,7 +123,7 @@ def test_single_row_attention_is_identity_weight(params, attention_probs):
     heads = []
     for h in range(2):
         cols = slice(h * 4, (h + 1) * 4)
-        heads.append(matmul(normed, params.wv).data[:, cols])
+        heads.append(matmul(normed, params.wqkv[:, 16:24]).data[:, cols])  # the V block
     attended = np.concatenate(heads, axis=1) @ params.wo.data
     want = layer_norm(x + Tensor(attended), params.ln2_gain, params.ln2_bias).data
     assert np.allclose(out.data[0], want, atol=1e-12)
@@ -149,7 +149,8 @@ def test_three_row_single_head_matches_dense_oracle():
         return (v - mu) / np.sqrt(var + eps) * gain + bias
 
     h = ln(x, params.ln1_gain.data, params.ln1_bias.data)
-    q, k, v = h @ params.wq.data, h @ params.wk.data, h @ params.wv.data
+    w = params.wqkv.data  # Q | K | V column blocks, each [4, 4]
+    q, k, v = h @ w[:, 0:4], h @ w[:, 4:8], h @ w[:, 8:12]
     scores = q @ k.T / 2.0
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     probs = e / e.sum(axis=-1, keepdims=True)

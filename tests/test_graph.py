@@ -1,5 +1,7 @@
 """Social graph construction, behavior features, and test-information masking."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,6 @@ from offgraph.graph import (
     SocialGraph,
     build_graph,
     graph_from_dict,
-    graph_from_json,
     graph_to_dict,
     graph_to_json,
     init_unknown_features,
@@ -329,7 +330,7 @@ def test_graph_json_roundtrip():
     corpus = generate_corpus(150, 25, seed=9)
     split = split_corpus(corpus, 0.7, np.random.default_rng(3))
     g = with_node_features(build_graph(corpus), split.train, "soft", "all1")
-    back = graph_from_json(graph_to_json(g))
+    back = graph_from_dict(json.loads(graph_to_json(g)))
     assert back.nodes == g.nodes
     assert np.array_equal(back.arcs, g.arcs)
     assert np.array_equal(back.features, g.features)

@@ -1,5 +1,6 @@
 """Focal loss closed forms and the metric suite against independent oracles."""
 
+import json
 import math
 
 import numpy as np
@@ -207,7 +208,9 @@ def test_report_roundtrip_and_threshold():
     labels = [1, 1, 0, 0]
     report = metrics_report(scores, labels)
     assert report.confusion.to_dict() == {"tp": 1, "fn": 1, "fp": 1, "tn": 1}
-    back = MetricsReport.from_dict(report.to_dict())
+    payload = json.loads(report.to_json())
+    c = payload.pop("confusion")
+    back = MetricsReport(**payload, confusion=ConfusionMatrix(c["tp"], c["fn"], c["fp"], c["tn"]))
     assert back == report
     with pytest.raises(ValueError):
         metrics_report([0.5], [1])

@@ -71,13 +71,12 @@ _GAT_HEADS = ["gat.head0.proj", "gat.head0.attn", "gat.head1.proj", "gat.head1.a
 _ENCODER = [
     "encoder.token_table", "encoder.pos_table",
     "encoder.block0.ln1_gain", "encoder.block0.ln1_bias",
-    "encoder.block0.wq", "encoder.block0.wk", "encoder.block0.wv", "encoder.block0.wo",
-    "encoder.block0.bq", "encoder.block0.bk", "encoder.block0.bv", "encoder.block0.bo",
+    "encoder.block0.wqkv", "encoder.block0.wo", "encoder.block0.bqkv", "encoder.block0.bo",
     "encoder.block0.ln2_gain", "encoder.block0.ln2_bias",
     "encoder.block0.ffn_w1", "encoder.block0.ffn_b1", "encoder.block0.ffn_w2", "encoder.block0.ffn_b2",
 ]
 _FUSION_ATTENTION = [
-    "fusion.ln1_gain", "fusion.ln1_bias", "fusion.wq", "fusion.wk", "fusion.wv", "fusion.wo",
+    "fusion.ln1_gain", "fusion.ln1_bias", "fusion.wqkv", "fusion.wo",
     "fusion.ln2_gain", "fusion.ln2_bias",
 ]
 _FUSION_HEAD = ["fusion.ffn_w", "fusion.ffn_b", "fusion.clf_w", "fusion.clf_b"]
@@ -152,7 +151,7 @@ def test_single_head_gat_keeps_width(setting):
 
 def test_no_attention_layer_uses_wide_ffn(setting):
     model, _ = _model(setting, ablation="no_attention_layer")
-    assert model.fusion.wq is None
+    assert model.fusion.wqkv is None
     assert model.fusion.ffn_w.shape[0] == 2 * 16
 
 

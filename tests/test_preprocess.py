@@ -206,9 +206,13 @@ def test_pipeline_composition(table):
     assert preprocess(raw, table).text == "<user> check Some Hashtag Text grinning face http"
 
 
-def test_pipeline_idempotent(table):
-    raw = RawTweet("t1", "u1", "@a #BigDay \U0001F525 http://x.y $3 5pm", 1)
-    once = preprocess(raw, table)
+_PIPELINE_PIECES = ["@a", "#BigDay", "#x2", "http://x.y", "t.co/zz", "$3", "5pm", "a.b@c.de", "\U0001F525"] + _EMOJI_PIECES
+
+
+@settings(max_examples=300)
+@given(st.lists(st.one_of(st.sampled_from(_PIPELINE_PIECES), st.characters()), max_size=16).map(" ".join))
+def test_pipeline_idempotent(table, text):
+    once = preprocess(RawTweet("t1", "u1", text, 1), table)
     assert preprocess(once, table) == once
 
 

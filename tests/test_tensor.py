@@ -267,15 +267,24 @@ def test_a_constant_operand_gets_no_gradient_and_the_other_is_unchanged(op, othe
         assert pair[1 - grad_side].grad is None
 
 
-def test_segment_softmax_sums_to_one_per_segment():
-    rng = np.random.default_rng(3)
-    seg = rng.integers(0, 5, 40)
-    present = np.unique(seg)
-    for shape in ((40,), (40, 3)):
-        alpha = T.segment_softmax(Tensor(rng.normal(0, 2, shape)), seg, 5)
-        sums = np.zeros((5,) + shape[1:])
-        np.add.at(sums, seg, alpha.data)
-        assert np.max(np.abs(sums[present] - 1.0)) < 1e-9
+@given(
+    st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), st.lists(st.integers(0, n - 1), max_size=40))),
+    st.sampled_from([None, 1, 3]),
+    st.floats(1e-3, 50.0),
+    st.integers(0, 2**16),
+)
+def test_segment_softmax_sums_to_one_per_segment(segments, width, scale, seed):
+    """[E] and [E, K] scores: each present segment sums to 1 per column; empty ones get nothing."""
+    num_segments, ids = segments
+    seg = np.array(ids, dtype=np.int64)
+    shape = seg.shape if width is None else (len(seg), width)
+    alpha = T.segment_softmax(Tensor(np.random.default_rng(seed).normal(0, scale, shape)), seg, num_segments).data
+    assert alpha.shape == shape and np.all((alpha >= 0.0) & (alpha <= 1.0))
+    sums = np.zeros((num_segments,) + shape[1:])
+    np.add.at(sums, seg, alpha)
+    present = np.isin(np.arange(num_segments), seg)
+    assert np.max(np.abs(sums[present] - 1.0), initial=0.0) < 1e-9
+    assert np.all(sums[~present] == 0.0)
 
 
 def test_layer_norm_constant_row_maps_to_zero():

@@ -431,6 +431,35 @@ def test_a_checkpoint_survives_save_and_load_with_equal_predict(tmp_path_factory
     np.testing.assert_array_equal(loaded.model.predict(seqs, loaded.graph), tiny_run.model.predict(seqs, tiny_run.graph))
 
 
+def test_a_checkpoint_with_separate_qkv_names_loads_to_equal_predict(tmp_path, tiny_run):
+    """Files written before the packed layout name Q, K and V apart; they fold back into wqkv/bqkv."""
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(tiny_run, path)
+    payload = json.loads(path.read_text())
+    seqs = [encode(t, tiny_run.vocab, tiny_run.result.config["max_len"]) for t in tiny_run.split.test[:8]]
+    packed = load_checkpoint(path)
+    want = packed.model.predict(seqs, packed.graph)
+    legacy = {}
+    for name, entry in payload["params"].items():
+        if not name.endswith("qkv"):
+            legacy[name] = entry
+            continue
+        value = np.asarray(entry["data"]).reshape(entry["shape"])
+        for part, third in zip("qkv", np.split(value, 3, axis=-1)):
+            legacy[name[:-3] + part] = {"shape": list(third.shape), "data": third.reshape(-1).tolist()}
+    assert {"encoder.block0.wq", "encoder.block0.bv", "fusion.wk"} <= set(legacy)
+    assert not any(name.endswith("qkv") for name in legacy)
+
+    path.write_text(json.dumps({**payload, "params": legacy}))
+    loaded = load_checkpoint(path)
+    assert np.array_equal(loaded.model.predict(seqs, loaded.graph), want)
+
+    lone_wq = {k: v for k, v in legacy.items() if k not in ("fusion.wk", "fusion.wv")}
+    path.write_text(json.dumps({**payload, "params": lone_wq}))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: checkpoint parameters do not match the model"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_is_json_with_shapes(tmp_path, corpus):
     run = fit(_tiny_config(max_epochs=1, early_stop_patience=1), corpus)
     path = tmp_path / "ckpt.json"
@@ -450,14 +479,26 @@ def test_checkpoint_is_json_with_shapes(tmp_path, corpus):
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {key} must be of type"):
             load_checkpoint(path)
     no_nodes = {k: v for k, v in payload["graph"].items() if k != "nodes"}
-    malformed = (
+    malformed = (  # each must surface as a ValueError naming the file, never a TypeError from deep inside
         ("config", ["seed"], "the checkpoint config is not an object"),
         ("graph", no_nodes, "the checkpoint graph has no 'nodes' key"),
         ("params", {**payload["params"], name: {"shape": entry["shape"]}}, f"checkpoint parameter '{name}' has no 'data' key"),
+        ("graph", [], "the checkpoint graph is not an object"),
+        ("params", [], "the checkpoint params is not an object"),
+        ("params", {**payload["params"], name: [1, 2]}, f"checkpoint parameter '{name}' is not an object"),
+        ("vocab", 5, "the checkpoint vocab is not a list"),
+        ("vocab", ["a"], "the checkpoint vocab is malformed ("),
+        ("vocab", [*payload["vocab"], ["x"]], "the checkpoint vocab is malformed ("),
+        ("graph", {**payload["graph"], "nodes": 5}, "the checkpoint graph is malformed ("),
+        ("graph", {**payload["graph"], "features": payload["graph"]["features"][:3]}, "the checkpoint graph is malformed ("),
+        ("graph", {**payload["graph"], "features": 3}, "the checkpoint graph is malformed ("),
+        ("params", {**payload["params"], name: {**entry, "shape": "x"}},
+         f"checkpoint parameter '{name}' has a malformed shape or data ("),
     )
     for key, value, message in malformed:
         path.write_text(json.dumps({**payload, key: value}))
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
+        tail = "" if message.endswith("(") else "$"
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}{tail}"):
             load_checkpoint(path)
     payload["graph"]["features"] = None
     path.write_text(json.dumps(payload))
