@@ -188,6 +188,8 @@ class Vocab:
     def __post_init__(self):
         if tuple(self.tokens[:3]) != self.RESERVED:
             raise ValueError("vocabulary must start with the reserved tokens")
+        if not all(isinstance(tok, str) for tok in self.tokens):
+            raise ValueError("vocabulary tokens must be strings")
         self.index = {tok: i for i, tok in enumerate(self.tokens)}
         if len(self.index) != len(self.tokens):
             raise ValueError("duplicate token in vocabulary")

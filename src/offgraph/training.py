@@ -15,6 +15,7 @@ across invocations.
 
 from __future__ import annotations
 
+import base64
 import csv
 import io
 import json
@@ -411,16 +412,34 @@ def sweep(config: TrainConfig, axis: str, corpus: Corpus) -> str:
 # -- checkpoints ----------------------------------------------------------
 
 
+def _encode_param(value: np.ndarray) -> dict:
+    """Format 2: the array's little-endian float64 bytes in C order, base64-encoded."""
+    value = np.asarray(value, dtype="<f8")
+    return {"shape": list(value.shape), "data": base64.b64encode(value.tobytes()).decode("ascii")}
+
+
+def _decode_param(entry: dict, fmt: int) -> np.ndarray:
+    """One parameter entry back as a writable float64 array; format 1 holds a flat list of numbers."""
+    data = entry["data"]
+    if fmt == 2:
+        if not isinstance(data, str):
+            raise ValueError("format 2 stores data as a base64 string")
+        flat = np.frombuffer(base64.b64decode(data, validate=True), dtype="<f8").astype(np.float64)
+    else:
+        if isinstance(data, str):
+            raise ValueError("format 1 stores data as a list of numbers")
+        flat = np.asarray(data, dtype=np.float64)
+    return flat.reshape(entry["shape"])
+
+
 def save_checkpoint(run: TrainedRun, path) -> None:
-    """Self-describing JSON: config, vocabulary, masked graph, best parameters."""
+    """Self-describing JSON: format, config, vocabulary, masked graph, best parameters."""
     payload = {
+        "format": 2,
         "config": run.result.config,
         "vocab": run.vocab.tokens,
         "graph": graph_to_dict(run.graph),
-        "params": {
-            name: {"shape": list(value.shape), "data": value.reshape(-1).tolist()}
-            for name, value in run.best_state.items()
-        },
+        "params": {name: _encode_param(value) for name, value in run.best_state.items()},
     }
     write_chunks(path, json.JSONEncoder(ensure_ascii=False, indent=2).iterencode(payload))  # as json.dump writes it
 
@@ -457,6 +476,9 @@ def load_checkpoint(path) -> Checkpoint:
     for key, (kind, what) in _CHECKPOINT_KEYS.items():
         if not isinstance(payload[key], kind):
             raise ValueError(f"{path}: the checkpoint {key} is not {what}")
+    fmt = payload.get("format", 1)
+    if type(fmt) is not int or fmt not in (1, 2):
+        raise ValueError(f"{path}: unsupported checkpoint format {fmt!r} (expected 1 or 2)")
     unknown = sorted(set(payload["config"]) - {f.name for f in fields(TrainConfig)})
     if unknown:
         raise ValueError(f"{path}: unknown config keys {unknown}")
@@ -482,7 +504,7 @@ def load_checkpoint(path) -> Checkpoint:
         if not isinstance(entry, dict):
             raise ValueError(f"{path}: checkpoint parameter {name!r} is not an object")
         try:
-            arrays[name] = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+            arrays[name] = _decode_param(entry, fmt)
         except KeyError as exc:
             raise ValueError(f"{path}: checkpoint parameter {name!r} has no {exc} key") from None
         except (TypeError, ValueError) as exc:

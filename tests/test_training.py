@@ -1,15 +1,18 @@
 """Training harness: protocol rules, determinism, leakage, sweeps."""
 
+import base64
 import json
 import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from offgraph.corpus import Corpus, encode, split_corpus
+from offgraph.cli import main
+from offgraph.corpus import Corpus, encode, split_corpus, write_tweets_jsonl
 from offgraph.fusion import POOLINGS
 from offgraph.graph import INIT_STRATEGIES, VARIANTS
 from offgraph.model import ABLATIONS
@@ -20,6 +23,8 @@ from offgraph.training import (
     EarlyStopper,
     TrainConfig,
     TrainingDiverged,
+    _decode_param,
+    _encode_param,
     fit,
     load_checkpoint,
     parse_config_file,
@@ -419,8 +424,9 @@ def tiny_run(corpus):
 @settings(max_examples=8)
 @given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=2), scale=st.sampled_from([1e-3, 1.0, 1e3]))
 def test_a_checkpoint_survives_save_and_load_with_equal_predict(tmp_path_factory, tiny_run, seeds, scale):
-    """Random parameters (so the JSON length varies) saved over an older checkpoint load back exactly."""
+    """Random parameters saved over a longer file, then over an older checkpoint, load back exactly."""
     path = tmp_path_factory.mktemp("ckpt") / "ckpt.json"
+    path.write_text(" " * 200_000)  # longer than the checkpoint, so the writer must cut it
     seqs = [encode(t, tiny_run.vocab, tiny_run.result.config["max_len"]) for t in tiny_run.split.test[:8]]
     for seed in seeds:
         rng = np.random.default_rng(seed)
@@ -431,11 +437,71 @@ def test_a_checkpoint_survives_save_and_load_with_equal_predict(tmp_path_factory
     np.testing.assert_array_equal(loaded.model.predict(seqs, loaded.graph), tiny_run.model.predict(seqs, tiny_run.graph))
 
 
+@settings(max_examples=60)
+@given(
+    value=hnp.arrays(
+        st.sampled_from([np.dtype("<f8"), np.dtype(">f8")]),
+        hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5),
+        elements=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    ),
+    transpose=st.booleans(),
+)
+@example(value=np.array([-0.0, 0.0, 5e-324, -2.2250738585072e-308, np.inf, -np.inf, np.nan]), transpose=False)
+@example(value=np.array(-0.0), transpose=False)
+@example(value=np.zeros((0, 3)), transpose=True)
+def test_format_2_encoding_is_bit_exact(value, transpose):
+    """Every float64 bit pattern, of any shape and memory layout, decodes to itself."""
+    if transpose:
+        value = value.T  # not C-contiguous for two or more dims
+    entry = json.loads(json.dumps(_encode_param(value)))
+    assert len(base64.b64decode(entry["data"], validate=True)) == 8 * value.size
+    back = _decode_param(entry, 2)
+    assert back.shape == value.shape and back.dtype == np.float64 and back.flags.writeable
+    want = value.astype(np.float64)
+    assert np.array_equal(back.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(back, want, equal_nan=True)
+
+
+def _as_format_1(payload):
+    """The same checkpoint as format 1 writes it: no ``format`` key, each ``data`` a flat float list."""
+    params = {name: {**entry, "data": _decode_param(entry, 2).reshape(-1).tolist()}
+              for name, entry in payload["params"].items()}
+    return {**{k: v for k, v in payload.items() if k != "format"}, "params": params}
+
+
+def test_a_format_1_checkpoint_loads_to_equal_predict_and_eval_report(tmp_path, corpus, tiny_run):
+    new, old = tmp_path / "ckpt.json", tmp_path / "ckpt_format1.json"
+    save_checkpoint(tiny_run, new)
+    payload = json.loads(new.read_text())
+    assert payload["format"] == 2
+    old.write_text(json.dumps(_as_format_1(payload), indent=2))
+    seqs = [encode(t, tiny_run.vocab, tiny_run.result.config["max_len"]) for t in tiny_run.split.test]
+    loaded = [load_checkpoint(path) for path in (new, old)]
+    assert np.array_equal(*(c.model.predict(seqs, c.graph) for c in loaded))
+
+    tweets = tmp_path / "tweets.jsonl"
+    write_tweets_jsonl(corpus.tweets, tweets)
+    reports = []
+    for path in (new, old):
+        report = tmp_path / f"{path.stem}_eval.json"
+        assert main(["eval", "--checkpoint", str(path), "--tweets", str(tweets), "--out", str(report)]) == 0
+        reports.append(report.read_bytes())
+    assert reports[0] == reports[1]
+
+    name = next(iter(payload["params"]))
+    as_string = _as_format_1(payload)
+    as_string["params"][name]["data"] = payload["params"][name]["data"]
+    old.write_text(json.dumps(as_string))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(old))}: checkpoint parameter '{name}' has a malformed"):
+        load_checkpoint(old)
+
+
 def test_a_checkpoint_with_separate_qkv_names_loads_to_equal_predict(tmp_path, tiny_run):
-    """Files written before the packed layout name Q, K and V apart; they fold back into wqkv/bqkv."""
+    """Files written before the packed layout name Q, K and V apart (in format 1); they fold back into
+    wqkv/bqkv."""
     path = tmp_path / "ckpt.json"
     save_checkpoint(tiny_run, path)
-    payload = json.loads(path.read_text())
+    payload = _as_format_1(json.loads(path.read_text()))
     seqs = [encode(t, tiny_run.vocab, tiny_run.result.config["max_len"]) for t in tiny_run.split.test[:8]]
     packed = load_checkpoint(path)
     want = packed.model.predict(seqs, packed.graph)
@@ -465,9 +531,11 @@ def test_checkpoint_is_json_with_shapes(tmp_path, corpus):
     path = tmp_path / "ckpt.json"
     save_checkpoint(run, path)
     payload = json.loads(path.read_text())
-    assert set(payload) == {"config", "vocab", "graph", "params"}
+    assert set(payload) == {"format", "config", "vocab", "graph", "params"}
+    assert payload["format"] == 2
     name, entry = next(iter(payload["params"].items()))
-    assert np.prod(entry["shape"]) == len(entry["data"])
+    size = int(np.prod(entry["shape"]))
+    assert 8 * size == len(base64.b64decode(entry["data"], validate=True))
 
     payload["config"]["graph_variant"] = "dense"
     path.write_text(json.dumps(payload))
@@ -489,11 +557,26 @@ def test_checkpoint_is_json_with_shapes(tmp_path, corpus):
         ("vocab", 5, "the checkpoint vocab is not a list"),
         ("vocab", ["a"], "the checkpoint vocab is malformed ("),
         ("vocab", [*payload["vocab"], ["x"]], "the checkpoint vocab is malformed ("),
+        ("vocab", [*payload["vocab"], 5], "the checkpoint vocab is malformed ("),
+        ("vocab", [*payload["vocab"], None], "the checkpoint vocab is malformed ("),
         ("graph", {**payload["graph"], "nodes": 5}, "the checkpoint graph is malformed ("),
         ("graph", {**payload["graph"], "features": payload["graph"]["features"][:3]}, "the checkpoint graph is malformed ("),
         ("graph", {**payload["graph"], "features": 3}, "the checkpoint graph is malformed ("),
         ("params", {**payload["params"], name: {**entry, "shape": "x"}},
          f"checkpoint parameter '{name}' has a malformed shape or data ("),
+        *(
+            ("params", {**payload["params"], name: {**entry, "data": data}},
+             f"checkpoint parameter '{name}' has a malformed shape or data (")
+            for data in (
+                "not base64!",  # '!' and ' ' are outside the base64 alphabet
+                entry["data"][:-4],  # drops the last base64 quantum (1-3 bytes), cutting a float
+                base64.b64encode(bytes(8 * (size - 1))).decode(),  # whole floats, one too few
+                base64.b64encode(bytes(8 * size + 8)).decode(),  # whole floats, one too many
+                [0.0] * size,  # the format-1 list in a format-2 file
+            )
+        ),
+        ("format", 3, "unsupported checkpoint format 3 (expected 1 or 2)"),
+        ("format", "2", "unsupported checkpoint format '2' (expected 1 or 2)"),
     )
     for key, value, message in malformed:
         path.write_text(json.dumps({**payload, key: value}))
