@@ -3,6 +3,7 @@
 Every block packs its query, key and value projections into one ``wqkv``
 [d, 3d] (and optionally one ``bqkv`` [3d]): columns [0, d) are Q, [d, 2d) K
 and [2d, 3d) V, and within each, head h owns columns h*d_k .. (h+1)*d_k.
+``qkv_init`` builds it; ``fold_separate_qkv`` packs older checkpoints' ``wq``/``wk``/``wv``.
 """
 
 from __future__ import annotations
@@ -14,13 +15,24 @@ import numpy as np
 from .optim import xavier_normal_init
 from .tensor import Tensor, batched_matmul, dropout, matmul, reshape, softmax, transpose
 
-__all__ = ["qkv_init", "multi_head_attention"]
+__all__ = ["qkv_init", "fold_separate_qkv", "multi_head_attention"]
 
 
-def qkv_init(d_model: int, rng: np.random.Generator) -> Tensor:
+def qkv_init(d_model: int, rng: np.random.Generator | None) -> Tensor:
     """Trainable packed [d, 3d] projection: three [d, d] Xavier draws from ``rng`` in Q, K, V order."""
     draws = [xavier_normal_init(d_model, d_model, rng).data for _ in range(3)]
     return Tensor(np.concatenate(draws, axis=1), requires_grad=True)
+
+
+def fold_separate_qkv(arrays: dict[str, np.ndarray]) -> None:
+    """Fold each complete ``<p>.wq/.wk/.wv`` (or ``<p>.bq/.bk/.bv``) triple of
+    ``arrays`` into one packed ``<p>.wqkv`` (``<p>.bqkv``), in place. A partial
+    triple keeps its names, so the model rejects it."""
+    for name in [n for n in arrays if n.endswith((".wq", ".bq"))]:
+        stem = name[:-1]
+        parts = [stem + part for part in "qkv"]
+        if all(part in arrays for part in parts) and stem + "qkv" not in arrays:
+            arrays[stem + "qkv"] = np.concatenate([arrays.pop(part) for part in parts], axis=-1)
 
 
 def multi_head_attention(

@@ -116,10 +116,9 @@ def write_edges_tsv(edges: list[tuple[str, str]], path) -> None:
     write_chunks(path, (f"{follower}\t{followee}\n" for follower, followee in edges))
 
 
-def preprocess_corpus(corpus: Corpus, table: EmojiTable | None = None) -> Corpus:
-    """Run the text pipeline over every tweet (idempotent, so safe to repeat)."""
-    if table is None:
-        table = EmojiTable.default()
+def preprocess_corpus(corpus: Corpus) -> Corpus:
+    """Run the text pipeline over every tweet with the packaged emoji table (idempotent, so safe to repeat)."""
+    table = EmojiTable.default()
     return Corpus(
         tweets=[preprocess(t, table) for t in corpus.tweets],
         edges=list(corpus.edges),

@@ -26,7 +26,7 @@ __all__ = ["EncoderBlockParams", "EncoderParams", "self_attention_block", "encod
 class EncoderBlockParams:
     ln1_gain: Tensor
     ln1_bias: Tensor
-    wqkv: Tensor  # [d, 3d], Q | K | V
+    wqkv: Tensor  # [d, 3d], packed by attention.qkv_init
     wo: Tensor
     bqkv: Tensor
     bo: Tensor
@@ -38,7 +38,7 @@ class EncoderBlockParams:
     ffn_b2: Tensor
 
     @classmethod
-    def init(cls, d_model: int, d_ff: int, rng: np.random.Generator) -> "EncoderBlockParams":
+    def init(cls, d_model: int, d_ff: int, rng: np.random.Generator | None) -> "EncoderBlockParams":
         return cls(
             ln1_gain=ones_init(d_model), ln1_bias=zeros_init(d_model),
             wqkv=qkv_init(d_model, rng),
@@ -63,10 +63,6 @@ class EncoderParams:
     num_heads: int
 
     @property
-    def d_model(self) -> int:
-        return self.token_table.shape[1]
-
-    @property
     def max_len(self) -> int:
         return self.pos_table.shape[0]
 
@@ -79,7 +75,7 @@ class EncoderParams:
         num_layers: int,
         num_heads: int,
         d_ff: int,
-        rng: np.random.Generator,
+        rng: np.random.Generator | None,
     ) -> "EncoderParams":
         return cls(
             token_table=xavier_normal_init(vocab_size, d_model, rng),

@@ -56,7 +56,7 @@ class FusionParams:
     residual_adapter: Tensor | None  # [gat_head_dim, d_model]
     ln1_gain: Tensor | None
     ln1_bias: Tensor | None
-    wqkv: Tensor | None  # [d, 3d], Q | K | V
+    wqkv: Tensor | None  # [d, 3d], packed by attention.qkv_init
     wo: Tensor | None
     ln2_gain: Tensor | None
     ln2_bias: Tensor | None
@@ -64,15 +64,15 @@ class FusionParams:
     ffn_b: Tensor
     clf_w: Tensor
     clf_b: Tensor
-    num_heads: int = 4
+    num_heads: int
 
     @classmethod
     def init(
         cls,
         d_model: int,
         d_ff: int,
-        rng: np.random.Generator,
-        num_heads: int = 4,
+        rng: np.random.Generator | None,
+        num_heads: int,
         gat_head_dim: int | None = None,
         with_residual_row: bool = True,
         with_attention: bool = True,

@@ -41,8 +41,6 @@ from .tensor import (
 
 __all__ = ["GatParams", "attention_coefficients", "gat_forward"]
 
-LEAKY_SLOPE = 0.2
-
 
 @dataclass
 class GatParams:
@@ -68,7 +66,7 @@ class GatParams:
         feature_dim: int,
         num_heads: int,
         head_dim: int,
-        rng: np.random.Generator,
+        rng: np.random.Generator | None,
         with_residual: bool = True,
     ) -> "GatParams":
         if num_heads < 1:
@@ -109,7 +107,7 @@ def attention_coefficients(
     halves = reshape(attn_vec.T, (-1, 2, projected.shape[-1]))  # [K, 2, d]
     src_term, dst_term = (reduce_sum(mul(projected, halves[:, k]), axis=-1) for k in (0, 1))
     scores = add(gather_rows(src_term, edge_src), gather_rows(dst_term, edge_dst))
-    return segment_softmax(leaky_relu(scores, LEAKY_SLOPE), edge_src, num_nodes)
+    return segment_softmax(leaky_relu(scores), edge_src, num_nodes)
 
 
 def gat_forward(

@@ -32,7 +32,7 @@ ABLATIONS = ("full", "no_gat", "no_encoder", "no_gat_residual", "single_head_gat
 
 
 class DetectionModel:
-    def __init__(self, config, vocab_size: int, feature_dim: int, rng: np.random.Generator):
+    def __init__(self, config, vocab_size: int, feature_dim: int, rng: np.random.Generator | None):
         self.config = config.validate()
 
         self.gat: GatParams | None = None

@@ -12,10 +12,13 @@ from .tensor import Tensor
 __all__ = ["xavier_normal_init", "ones_init", "zeros_init", "named_tensors", "Adam", "zero_grads"]
 
 
-def xavier_normal_init(fan_in: int, fan_out: int, rng: np.random.Generator) -> Tensor:
-    """Trainable [fan_in, fan_out] matrix, entries N(0, 2 / (fan_in + fan_out)), drawn from ``rng``."""
+def xavier_normal_init(fan_in: int, fan_out: int, rng: np.random.Generator | None) -> Tensor:
+    """Trainable [fan_in, fan_out] matrix, entries N(0, 2 / (fan_in + fan_out)) drawn from ``rng``;
+    zeros without one, the layout a checkpoint fills."""
     if fan_in <= 0 or fan_out <= 0:
         raise ValueError(f"fans must be positive, got ({fan_in}, {fan_out})")
+    if rng is None:
+        return Tensor(np.zeros((fan_in, fan_out)), requires_grad=True)
     std = math.sqrt(2.0 / (fan_in + fan_out))
     return Tensor(std * rng.standard_normal((fan_in, fan_out)), requires_grad=True)
 

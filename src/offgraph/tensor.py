@@ -68,6 +68,7 @@ __all__ = [
 ]
 
 LAYER_NORM_EPS = 1e-5
+LEAKY_SLOPE = 0.2  # the graph attention score activation (Velickovic et al. 2018)
 
 
 class Tensor:
@@ -421,14 +422,13 @@ def relu(a: Tensor) -> Tensor:
     return _make(np.maximum(a.data, 0.0), (a,), backward)
 
 
-def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
-    if slope <= 0.0:
-        raise ValueError("leaky_relu slope must be positive")
+def leaky_relu(a: Tensor) -> Tensor:
+    """``x`` above zero, ``LEAKY_SLOPE * x`` below."""
 
     def backward(g):
-        return (g * np.where(a.data > 0.0, 1.0, slope),)
+        return (g * np.where(a.data > 0.0, 1.0, LEAKY_SLOPE),)
 
-    return _make(np.where(a.data > 0.0, a.data, slope * a.data), (a,), backward)
+    return _make(np.where(a.data > 0.0, a.data, LEAKY_SLOPE * a.data), (a,), backward)
 
 
 def elu(a: Tensor) -> Tensor:

@@ -24,6 +24,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
+from .attention import fold_separate_qkv
 from .corpus import Corpus, Split, Vocab, batches, build_vocab, encode, preprocess_corpus, split_corpus
 from .fusion import POOLINGS
 from .graph import (
@@ -456,62 +457,52 @@ _CHECKPOINT_KEYS = {"config": (dict, "an object"), "vocab": (list, "a list"), "g
                     "params": (dict, "an object")}
 
 
-def _fold_legacy_qkv(arrays: dict[str, np.ndarray]) -> None:
-    """Files written before the packed layout hold ``<p>.wq/.wk/.wv`` and
-    ``<p>.bq/.bk/.bv``; fold each complete triple into ``<p>.wqkv`` / ``<p>.bqkv``.
-    A partial triple keeps its names, so the model rejects it."""
-    for name in [n for n in arrays if n.endswith((".wq", ".bq"))]:
-        stem = name[:-1]
-        parts = [stem + part for part in "qkv"]
-        if all(part in arrays for part in parts) and stem + "qkv" not in arrays:
-            arrays[stem + "qkv"] = np.concatenate([arrays.pop(part) for part in parts], axis=-1)
-
-
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    """The checkpoint at ``path``; any malformed file raises one ``ValueError`` naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return _checkpoint(json.load(fh))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _checkpoint(payload) -> Checkpoint:
     missing = [key for key in _CHECKPOINT_KEYS if not isinstance(payload, dict) or key not in payload]
     if missing:
-        raise ValueError(f"{path}: not a checkpoint, missing keys {missing}")
+        raise ValueError(f"not a checkpoint, missing keys {missing}")
     for key, (kind, what) in _CHECKPOINT_KEYS.items():
         if not isinstance(payload[key], kind):
-            raise ValueError(f"{path}: the checkpoint {key} is not {what}")
+            raise ValueError(f"the checkpoint {key} is not {what}")
     fmt = payload.get("format", 1)
     if type(fmt) is not int or fmt not in (1, 2):
-        raise ValueError(f"{path}: unsupported checkpoint format {fmt!r} (expected 1 or 2)")
+        raise ValueError(f"unsupported checkpoint format {fmt!r} (expected 1 or 2)")
     unknown = sorted(set(payload["config"]) - {f.name for f in fields(TrainConfig)})
     if unknown:
-        raise ValueError(f"{path}: unknown config keys {unknown}")
-    try:
-        config = TrainConfig(**payload["config"]).validate()
-    except ConfigError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise ValueError(f"unknown config keys {unknown}")
+    config = TrainConfig(**payload["config"]).validate()
     try:
         vocab = Vocab(tokens=payload["vocab"])
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: the checkpoint vocab is malformed ({exc})") from None
+        raise ValueError(f"the checkpoint vocab is malformed ({exc})") from None
     try:
         graph = graph_from_dict(payload["graph"])
     except KeyError as exc:
-        raise ValueError(f"{path}: the checkpoint graph has no {exc} key") from None
+        raise ValueError(f"the checkpoint graph has no {exc} key") from None
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: the checkpoint graph is malformed ({exc})") from None
+        raise ValueError(f"the checkpoint graph is malformed ({exc})") from None
     if graph.features is None:
-        raise ValueError(f"{path}: the checkpoint graph has no node features")
-    model = DetectionModel(config, len(vocab), graph.features.shape[1], _stream(config.seed, 1))
+        raise ValueError("the checkpoint graph has no node features")
+    model = DetectionModel(config, len(vocab), graph.features.shape[1], None)  # zeros, filled below
     arrays = {}
     for name, entry in payload["params"].items():
         if not isinstance(entry, dict):
-            raise ValueError(f"{path}: checkpoint parameter {name!r} is not an object")
+            raise ValueError(f"checkpoint parameter {name!r} is not an object")
         try:
             arrays[name] = _decode_param(entry, fmt)
         except KeyError as exc:
-            raise ValueError(f"{path}: checkpoint parameter {name!r} has no {exc} key") from None
+            raise ValueError(f"checkpoint parameter {name!r} has no {exc} key") from None
         except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: checkpoint parameter {name!r} has a malformed shape or data ({exc})") from None
-    _fold_legacy_qkv(arrays)
-    try:
-        model.load_state_arrays(arrays)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+            raise ValueError(f"checkpoint parameter {name!r} has a malformed shape or data ({exc})") from None
+    fold_separate_qkv(arrays)
+    model.load_state_arrays(arrays)
     return Checkpoint(config=config, model=model, vocab=vocab, graph=graph)

@@ -228,16 +228,17 @@ def test_eval_rejects_unknown_checkpoint_config_keys(workdir, trained, tmp_path,
     assert f"error: {ckpt}: unknown config keys ['dropout_rate']" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("edit", ["bad base64", "format 3"])
+@pytest.mark.parametrize("edit", ["bad base64", "format 3", "truncated", "not UTF-8"])
 def test_eval_rejects_a_malformed_format_2_checkpoint(workdir, trained, tmp_path, capsys, edit):
     payload = json.loads(trained[1].read_text())
     if edit == "format 3":
         payload["format"] = 3
-    else:
+    elif edit == "bad base64":
         name = next(iter(payload["params"]))
         payload["params"][name]["data"] = "@" + payload["params"][name]["data"][1:]
     ckpt = tmp_path / "ckpt.json"
-    ckpt.write_text(json.dumps(payload))
+    data = json.dumps(payload).encode()
+    ckpt.write_bytes({"truncated": data[:200], "not UTF-8": b"\xff\xfe"}.get(edit, data))
     assert main(["eval", "--checkpoint", str(ckpt), "--tweets", str(workdir / "tweets.jsonl")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {ckpt}: ") and err.count("\n") == 1

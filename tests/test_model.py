@@ -48,6 +48,19 @@ def test_unknown_ablation_rejected(setting):
         DetectionModel(TrainConfig(ablation="nope"), len(vocab), 2, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("ablation", ABLATIONS)
+def test_a_model_built_without_a_generator_is_the_zero_layout(setting, ablation):
+    """The layout a checkpoint fills: every name and shape of a drawn model, Xavier arrays and
+    biases at zero, layer-norm gains at one."""
+    drawn = _model(setting, ablation=ablation)[0].named_parameters()
+    _, vocab, _, _ = setting
+    layout = DetectionModel(_config(ablation=ablation), len(vocab), 2, None).named_parameters()
+    assert {n: t.shape for n, t in layout.items()} == {n: t.shape for n, t in drawn.items()}
+    for name, tensor in layout.items():
+        want = 1.0 if name.endswith("_gain") else 0.0
+        assert tensor.requires_grad and np.all(tensor.data == want), name
+
+
 # The model holds no head-count rules of its own: this fails if DetectionModel
 # stops validating its config and builds a model whose heads do not divide.
 @pytest.mark.parametrize("ablation", ABLATIONS)

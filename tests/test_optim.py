@@ -22,6 +22,12 @@ def test_xavier_std_matches_formula():
     assert w.requires_grad
 
 
+def test_xavier_without_a_generator_is_a_trainable_zero_matrix():
+    w = xavier_normal_init(3, 4, None)
+    assert w.shape == (3, 4) and w.requires_grad
+    assert np.array_equal(w.data, np.zeros((3, 4)))
+
+
 def test_xavier_deterministic_for_fixed_seed():
     a = xavier_normal_init(16, 8, np.random.default_rng(99))
     b = xavier_normal_init(16, 8, np.random.default_rng(99))

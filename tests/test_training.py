@@ -11,10 +11,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from offgraph import training
 from offgraph.cli import main
 from offgraph.corpus import Corpus, encode, split_corpus, write_tweets_jsonl
 from offgraph.fusion import POOLINGS
 from offgraph.graph import INIT_STRATEGIES, VARIANTS
+from offgraph.metrics import metrics_report
 from offgraph.model import ABLATIONS
 from offgraph.preprocess import RawTweet
 from offgraph.synthetic import generate_corpus
@@ -419,6 +421,36 @@ def test_checkpoint_roundtrip(tmp_path, corpus):
 @pytest.fixture(scope="module")
 def tiny_run(corpus):
     return fit(_tiny_config(), corpus)
+
+
+def test_loading_best_state_scores_the_test_split_as_best_metrics(corpus):
+    """``fit`` leaves ``run.model`` at its last epoch: the label-flip leakage proof compares last-epoch
+    parameters. The best epoch's report comes back once ``best_state`` is loaded."""
+    run = fit(_tiny_config(max_epochs=3), corpus)
+    assert run.result.best_epoch < run.result.epochs_run
+    seqs = [encode(t, run.vocab, run.result.config["max_len"]) for t in run.split.test]
+    labels = [t.label for t in run.split.test]
+    assert metrics_report(run.model.predict(seqs, run.graph), labels) != run.result.best_metrics
+    run.model.load_state_arrays(run.best_state)
+    assert metrics_report(run.model.predict(seqs, run.graph), labels) == run.result.best_metrics
+
+
+def test_load_checkpoint_builds_its_model_without_drawing(tmp_path, tiny_run, monkeypatch):
+    seen = []
+
+    class Recorder(training.DetectionModel):
+        def __init__(self, config, vocab_size, feature_dim, rng):
+            seen.append(rng)
+            super().__init__(config, vocab_size, feature_dim, rng)
+
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(tiny_run, path)
+    monkeypatch.setattr(training, "DetectionModel", Recorder)
+    loaded = load_checkpoint(path)
+    assert len(seen) == 1 and seen[0] is None
+    seqs = [encode(t, tiny_run.vocab, tiny_run.result.config["max_len"]) for t in tiny_run.split.test]
+    tiny_run.model.load_state_arrays(tiny_run.best_state)
+    assert np.array_equal(loaded.model.predict(seqs, loaded.graph), tiny_run.model.predict(seqs, tiny_run.graph))
 
 
 @settings(max_examples=8)
