@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .outfile import write_chunks
+from .outfile import numbered_lines, write_chunks
 from .preprocess import EmojiTable, RawTweet, preprocess
 
 __all__ = [
@@ -62,40 +62,41 @@ class Corpus:
 def load_tweets(path) -> list[RawTweet]:
     """Parse a tweets JSONL file; a bad record raises ``path:lineno: bad tweet record``."""
     tweets: list[RawTweet] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                tweets.append(
-                    RawTweet(
-                        tweet_id=str(obj["tweet_id"]),
-                        user_id=str(obj["user_id"]),
-                        text=str(obj["text"]),
-                        label=int(obj["label"]),
-                    )
+    for lineno, line in numbered_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+            tweets.append(
+                RawTweet(
+                    tweet_id=str(obj["tweet_id"]),
+                    user_id=str(obj["user_id"]),
+                    text=str(obj["text"]),
+                    label=int(obj["label"]),
                 )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad tweet record: {exc}") from exc
+            )
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}:{lineno}: bad tweet record: {exc}") from exc
     return tweets
 
 
 def load_corpus(tweets_path, edges_path) -> Corpus:
-    """Parse and validate the two data files; errors carry line numbers."""
+    """Parse and validate the two data files; errors name the file, and the line where one line is at fault."""
     tweets = load_tweets(tweets_path)
     edges: list[tuple[str, str]] = []
-    with open(edges_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise ValueError(f"{edges_path}:{lineno}: expected follower<TAB>followee")
-            edges.append((parts[0], parts[1]))
-    return Corpus(tweets=tweets, edges=edges)
+    for lineno, line in numbered_lines(edges_path):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            raise ValueError(f"{edges_path}:{lineno}: expected follower<TAB>followee")
+        edges.append((parts[0], parts[1]))
+    try:
+        return Corpus(tweets=tweets, edges=edges)
+    except ValueError as exc:  # a duplicate tweet_id
+        raise ValueError(f"{tweets_path}: {exc}") from None
 
 
 def write_tweets_jsonl(tweets: list[RawTweet], path) -> None:

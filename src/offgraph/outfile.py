@@ -1,4 +1,4 @@
-"""The one way this package writes a file: in place, truncating after the write.
+"""The one way this package writes a file, and the one way it reads a line file.
 
 ``open(path, "w")`` truncates an existing file to zero length before writing.
 On ext4 (default ``auto_da_alloc``) that truncation marks the file as being
@@ -13,15 +13,22 @@ written without the cut.
 Durability is that of any fresh write: nothing is synced, and a crash in the
 middle of an overwrite can leave the new bytes followed by the tail of the
 old file.
+
+``numbered_lines`` reads a UTF-8 line file (tweets, edges, configs, emoji
+tables) with universal newlines, as ``open`` in text mode does, and names
+``path:lineno`` when a line holds a byte that is not UTF-8.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import stat
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
-__all__ = ["write_chunks"]
+__all__ = ["numbered_lines", "write_chunks"]
+
+_UNDECODED = re.compile("[\udc80-\udcff]")  # the surrogateescape stand-ins for undecodable bytes
 
 
 def write_chunks(path, chunks: Iterable[str]) -> None:
@@ -35,3 +42,17 @@ def write_chunks(path, chunks: Iterable[str]) -> None:
         fh.writelines(chunks)
         if stat.S_ISREG(os.fstat(fd).st_mode):
             fh.truncate()  # flushes, then cuts at the current position: the written length
+
+
+def numbered_lines(path) -> Iterator[tuple[int, str]]:
+    """``(lineno, line)`` for each line of the UTF-8 text file ``path``, from line 1.
+
+    A line holding a byte that does not decode raises ``ValueError`` naming
+    ``path:lineno`` and the byte.
+    """
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            bad = not line.isascii() and _UNDECODED.search(line)  # isascii is a flag test; most lines pass it
+            if bad:
+                raise ValueError(f"{path}:{lineno}: not UTF-8 text (byte 0x{ord(bad.group()) - 0xDC00:02x})")
+            yield lineno, line

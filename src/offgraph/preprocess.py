@@ -13,6 +13,8 @@ import re
 from dataclasses import dataclass, replace
 from importlib import resources
 
+from .outfile import numbered_lines
+
 __all__ = [
     "RawTweet",
     "EmojiTable",
@@ -72,15 +74,14 @@ class EmojiTable:
     @classmethod
     def from_tsv(cls, path) -> "EmojiTable":
         mapping: dict[str, str] = {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                if "\t" not in line:
-                    raise ValueError(f"{path}:{lineno}: expected emoji<TAB>phrase")
-                emoji, phrase = line.split("\t", 1)
-                mapping[emoji] = phrase
+        for lineno, line in numbered_lines(path):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            if "\t" not in line:
+                raise ValueError(f"{path}:{lineno}: expected emoji<TAB>phrase")
+            emoji, phrase = line.split("\t", 1)
+            mapping[emoji] = phrase
         return cls(mapping)
 
     @classmethod

@@ -41,7 +41,7 @@ from .losses import FocalParams, focal_loss_tensor
 from .metrics import MetricsReport, metrics_report
 from .model import ABLATIONS, DetectionModel
 from .optim import Adam, zero_grads
-from .outfile import write_chunks
+from .outfile import numbered_lines, write_chunks
 
 __all__ = [
     "TrainConfig",
@@ -170,28 +170,27 @@ def parse_config_file(path) -> TrainConfig:
     types = {f.name: f.type for f in fields(TrainConfig)}  # type names: annotations are postponed
     values: dict = {}
     lines: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, raw = (part.strip() for part in line.split("=", 1))
-            if key not in types:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            kind, lines[key] = types[key], lineno
-            if kind == "bool":
-                if raw.lower() not in _BOOLS:
-                    raise ValueError(f"{path}:{lineno}: bad boolean {raw!r}")
-                values[key] = _BOOLS[raw.lower()]
-            elif kind in _NUMBERS:
-                try:
-                    values[key] = _NUMBERS[kind](raw)
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: bad {kind} {raw!r} for {key}") from None
-            else:
-                values[key] = raw
+    for lineno, line in numbered_lines(path):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+        key, raw = (part.strip() for part in line.split("=", 1))
+        if key not in types:
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        kind, lines[key] = types[key], lineno
+        if kind == "bool":
+            if raw.lower() not in _BOOLS:
+                raise ValueError(f"{path}:{lineno}: bad boolean {raw!r}")
+            values[key] = _BOOLS[raw.lower()]
+        elif kind in _NUMBERS:
+            try:
+                values[key] = _NUMBERS[kind](raw)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: bad {kind} {raw!r} for {key}") from None
+        else:
+            values[key] = raw
     try:
         return TrainConfig(**values).validate()
     except ConfigError as exc:
@@ -326,6 +325,7 @@ def fit(config: TrainConfig, corpus: Corpus) -> TrainedRun:
             if not np.isfinite(value):
                 raise TrainingDiverged(f"non-finite loss {value} at epoch {epoch}")
             loss.backward()
+            del authors, probs, loss  # frees this step's tape before the next forward builds its own
             for opt in optimizers:
                 opt.step()
             epoch_losses.append(value)

@@ -245,6 +245,39 @@ def test_eval_rejects_a_malformed_format_2_checkpoint(workdir, trained, tmp_path
     assert "Traceback" not in err
 
 
+_GOOD_LINE = {
+    "tweets": json.dumps({"tweet_id": "a", "user_id": "u", "text": "hi", "label": 0}) + "\n",
+    "edges": "u\tv\n",
+    "config": "seed = 3\n",
+    "emoji": "\U0001F600\tbig grin\n",
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag, kind, fault",
+    [
+        ("preprocess", "--in", "tweets", "not UTF-8"),
+        ("preprocess", "--emoji", "emoji", "not UTF-8"),
+        ("train", "--tweets", "tweets", "not UTF-8"),
+        ("train", "--edges", "edges", "not UTF-8"),
+        ("train", "--config", "config", "not UTF-8"),
+        ("train", "--tweets", "tweets", "duplicate tweet"),
+    ],
+)
+def test_a_bad_input_file_is_named_in_the_error(workdir, tmp_path, capsys, command, flag, kind, fault):
+    good = _GOOD_LINE[kind].encode("utf-8")
+    bad = tmp_path / f"bad.{kind}"
+    bad.write_bytes(good + (b"\xff\xfe\n" if fault == "not UTF-8" else good))
+    args = {
+        "preprocess": {"--in": workdir / "tweets.jsonl", "--out": tmp_path / "out.jsonl"},
+        "train": {"--config": workdir / "run.cfg", "--tweets": workdir / "tweets.jsonl", "--edges": workdir / "edges.tsv"},
+    }[command]
+    args[flag] = bad
+    assert main([command, *(str(part) for pair in args.items() for part in pair)]) == 1
+    want = f"{bad}:2: not UTF-8 text (byte 0xff)" if fault == "not UTF-8" else f"{bad}: duplicate tweet_id 'a'"
+    assert capsys.readouterr().err == f"error: {want}\n"
+
+
 def test_eval_rejects_empty_tweets_file(trained, tmp_path, capsys):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")

@@ -1,6 +1,7 @@
 """Numeric core: forward values, backward gradients, tape semantics."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -66,8 +67,45 @@ def test_no_grad_records_nothing():
     with T.no_grad():
         y = T.softmax(T.relu(w @ w) + w, axis=-1).sum()
     assert not y.requires_grad
-    assert y._parents == () and y._backward is None
+    assert y._node is None
     assert (w @ w).requires_grad  # recording resumes after the block
+
+
+# Ops whose gradient formula reads no input values, each as a function of its input.
+_INPUT_FREE_OPS = {
+    "add": lambda h: h + Tensor(np.linspace(-1.0, 1.0, 4)),
+    "sub": lambda h: Tensor(0.5) - h,
+    "mul_by_constant": lambda h: h * Tensor(np.linspace(0.5, 2.0, 4)),
+    "softmax": lambda h: T.softmax(h, axis=-1),
+    "layer_norm": lambda h: T.layer_norm(h, Tensor(np.linspace(0.5, 1.5, 4)), Tensor(np.zeros(4))),
+    "dropout": lambda h: T.dropout(h, 0.5, rng=np.random.default_rng(1)),
+    "reduce_sum": lambda h: T.reduce_sum(h, axis=0),
+    "reshape_copy": lambda h: T.reshape(T.transpose(h), (12,)),  # a transposed view cannot reshape in place
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INPUT_FREE_OPS))
+def test_the_tape_keeps_no_input_array_its_gradient_does_not_read(name):
+    op = _INPUT_FREE_OPS[name]
+    rng = np.random.default_rng(8)
+    x = _rand(rng, 3, 4)
+    shift = Tensor(rng.uniform(-1.0, 1.0, (3, 4)))
+
+    def fn():
+        y = op(x + shift)
+        return (y * y).sum()
+
+    assert_gradients_match(fn, [x])
+    expected = x.grad
+    x.grad = None
+    hidden = x + shift  # an intermediate, so only the tape could keep its array
+    ref = weakref.ref(hidden.data)
+    y = op(hidden)
+    loss = (y * y).sum()
+    del hidden, y
+    assert ref() is None, f"{name} keeps its input array on the tape"
+    loss.backward()
+    assert np.array_equal(x.grad, expected)
 
 
 def test_no_grad_restores_the_flag_after_an_exception():

@@ -3,6 +3,7 @@
 import base64
 import json
 import re
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -288,6 +289,23 @@ def test_fit_rejects_a_single_class_test_split_early(corpus, no_model):
     )
     with pytest.raises(ValueError, match="48 non-offensive, 0 offensive"):
         fit(_tiny_config(), benign)
+
+
+def test_fit_holds_one_training_steps_tape_at_a_time(corpus, monkeypatch):
+    steps = []  # a weakref to each training step's probabilities, kept alive only by that step's tape
+    forward_batch = training.DetectionModel.forward_batch
+
+    def watched(self, seqs, authors, *, rng=None):
+        alive = [i for i, ref in enumerate(steps) if ref() is not None]
+        assert not alive, f"steps {alive} still hold their tape when step {len(steps)} starts"
+        probs = forward_batch(self, seqs, authors, rng=rng)
+        if probs.requires_grad:
+            steps.append(weakref.ref(probs.data))
+        return probs
+
+    monkeypatch.setattr(training.DetectionModel, "forward_batch", watched)
+    fit(_tiny_config(max_epochs=1, early_stop_patience=1), corpus)  # predict's forward checks the last step
+    assert len(steps) > 1
 
 
 def test_divergence_aborts(corpus):
