@@ -16,10 +16,10 @@ Run ``offgraph <subcommand> --help`` for flags.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import sys
 
+from . import resources
 from .corpus import build_vocab, encode, load_corpus, load_tweets, write_edges_tsv, write_tweets_jsonl
 from .graph import INIT_STRATEGIES, VARIANTS, build_graph, graph_to_json, with_node_features
 from .metrics import metrics_report
@@ -185,31 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters, malloc.h
-
-
-def _keep_freed_memory() -> None:
-    """Keep freed heap memory in the process (glibc; elsewhere this does nothing).
-
-    ``fit`` frees each step's tape before the next step builds its own. Under
-    glibc's default thresholds that hands the top of the heap back to the
-    system, and the next step faults it in again: a three-epoch planted
-    ``offgraph train`` took 374k minor faults and 1.33-1.54 s that way, and
-    24k faults and 1.08-1.15 s with these settings, at the same 87-88 MB peak
-    (2-core box, one BLAS thread). Setting the trim threshold stops glibc from
-    raising its mmap threshold as large blocks are freed, so that is fixed at
-    glibc's own ceiling, or every array above 128 KiB would be mapped anew.
-    """
-    libc = ctypes.CDLL(None)
-    if hasattr(libc, "mallopt"):
-        libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-        libc.mallopt.restype = ctypes.c_int
-        libc.mallopt(_M_TRIM_THRESHOLD, 2**31 - 1)
-        libc.mallopt(_M_MMAP_THRESHOLD, 32 * 2**20)
-
-
 def main(argv: list[str] | None = None) -> int:
-    _keep_freed_memory()
+    resources.apply_malloc_policy()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -1,11 +1,12 @@
 """Composed model: ablation wiring, parameter groups, predictions."""
 
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from offgraph import attention, encoder, fusion, gat
+from offgraph import attention, encoder, fusion, gat, resources
 from offgraph.corpus import TokenSequence, build_vocab, encode, split_corpus
 from offgraph.encoder import encode as encode_tokens
 from offgraph.fusion import add_position_encoding, assemble, classify, fuse_attention
@@ -379,3 +380,38 @@ def test_predict_chunks_by_batch_size(setting):
     model.config.batch_size = 4  # two chunks: 4 tweets, then 2
     assert np.max(np.abs(model.predict(seqs, graph) - whole)) <= 1e-12
 
+
+
+def test_predict_scores_the_same_at_any_worker_count(setting, monkeypatch):
+    """Five chunks of two, given out of length order, scored by one thread and by three (more than
+    the cores of a small box)."""
+    _, vocab, graph, seqs = setting
+    model, _ = _model(setting, batch_size=2)
+    author = seqs[0].author_id
+    one_token = TokenSequence(np.array([vocab.CLS]), author, 0, "one")
+    longest = TokenSequence(np.arange(24) % len(vocab), author, 1, "long")
+    batch = [longest, *seqs, one_token, seqs[1], seqs[0]]
+    assert not np.array_equal(np.argsort([len(s) for s in batch], kind="stable"), np.arange(len(batch)))
+
+    def scored(workers, tweets):
+        monkeypatch.setattr(resources, "scoring_workers", lambda: workers)
+        return model.predict(tweets, graph)
+
+    serial = scored(1, batch)
+    switching = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the interpreter between threads as often as it can
+    try:
+        for _ in range(5):
+            assert np.array_equal(scored(3, batch), serial)
+    finally:
+        sys.setswitchinterval(switching)
+
+    # the first failing chunk in length order raises, whichever thread finishes first
+    out_of_vocab = TokenSequence(np.array([len(vocab) + 5]), author, 2, "bad")
+    overlong = TokenSequence(np.zeros(30, dtype=np.int64), author, 3, "overlong")
+    errors = []
+    for workers in (1, 3):
+        with pytest.raises(ValueError) as raised:
+            scored(workers, [overlong, *batch, out_of_vocab])
+        errors.append(str(raised.value))
+    assert errors == ["token id out of vocabulary range"] * 2

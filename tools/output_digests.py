@@ -27,9 +27,11 @@ early_stop_patience = 2``). Covered outputs:
   * ``preprocess`` of both tweet files.
 
 The first stderr line names the imported package, so a listing cannot come
-from the wrong checkout unnoticed. Make both listings on one machine with the
-same BLAS thread count (say ``OPENBLAS_NUM_THREADS=1``): training sums differ
-in their last bits across thread counts, so checkpoints and results do too.
+from the wrong checkout unnoticed, and the BLAS thread count and scoring worker
+count it ran at (``None`` where the BLAS count cannot be read). Make both
+listings on one machine with the same BLAS thread count (say
+``OPENBLAS_NUM_THREADS=1``): training sums differ in their last bits across
+thread counts, so checkpoints and results do too.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from offgraph import (
     load_checkpoint,
     load_tweets,
     preprocess,
+    resources,
     write_edges_tsv,
     write_tweets_jsonl,
 )
@@ -124,7 +127,11 @@ def produce(work: Path) -> list[Path]:
 
 
 def main() -> int:
-    print(f"offgraph from {Path(offgraph.__file__).resolve().parent}", file=sys.stderr)
+    print(
+        f"offgraph from {Path(offgraph.__file__).resolve().parent}, "
+        f"BLAS threads {resources.blas_threads()}, scoring workers {resources.scoring_workers()}",
+        file=sys.stderr,
+    )
     with tempfile.TemporaryDirectory() as tmp:
         for path in produce(Path(tmp)):
             print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}", flush=True)
