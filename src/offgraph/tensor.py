@@ -33,6 +33,17 @@ Conventions:
     A backward closure may return ``None`` for a parent that does not
     require grad; the three products do, so a constant operand costs no
     gradient product,
+  * four closures return a ``_Deferred`` gradient, a computation not run
+    yet, for the side that is usually a parameter: ``matmul``'s weight
+    product, ``layer_norm``'s gain and bias sums, ``add``'s sum over a
+    broadcast side and ``gather_rows``' scatter into its table. No later
+    backward step reads a leaf's gradient, so above one worker
+    (``resources.scoring_workers()``) ``backward()`` hands those bound for a
+    leaf to one helper thread and walks on. It computes the others, and all
+    of them at one worker, at once. Each leaf's contributions are summed
+    after the walk, left to right in the order they arrived, which is the
+    order and arithmetic of a walk that sums as it goes: every gradient is
+    the same to the bit with or without the helper,
   * a function that draws random numbers takes a ``np.random.Generator``
     and draws nothing without one: ``dropout`` with ``rng=None`` is the
     identity, which is evaluation mode. Dropout uses inverted scaling.
@@ -49,9 +60,13 @@ backward and the segment ops), goes through the one helper ``_scatter``.
 from __future__ import annotations
 
 import math
+import queue
+import threading
 from contextlib import contextmanager
 
 import numpy as np
+
+from . import resources
 
 __all__ = [
     "Tensor",
@@ -92,7 +107,7 @@ class Tensor:
 
     ``data`` is always a float64 ndarray. ``grad`` starts as ``None`` and is
     populated (or accumulated into) by ``backward()`` for every leaf with
-    ``requires_grad`` reachable from the loss.
+    ``requires_grad`` reachable from the loss, as a float64 ndarray too.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_node")
@@ -122,29 +137,58 @@ class Tensor:
         """Populate ``.grad`` for every requires-grad leaf reachable from here.
 
         The loss must be a single element. Repeated calls without zeroing
-        accumulate one more analytic pass each time.
+        accumulate one more analytic pass each time. Where
+        ``resources.scoring_workers()`` is above 1, the deferred gradients of
+        leaves are computed on one helper thread, which is joined before this
+        returns; a failure there is raised here, and then no ``.grad`` changes.
         """
         if self.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {self.shape}")
         root = _node_of(self)
         if root is None:
             return
-        pending: dict[_Node, np.ndarray] = {root: np.ones_like(self.data)}
-        for node in reversed(_toposort(root)):
-            grad_out = pending.pop(node, None)
-            if grad_out is None:
-                continue
-            if node.backward is None:
-                leaf = node.leaf
-                leaf.grad = grad_out if leaf.grad is None else leaf.grad + grad_out
-                continue
-            for parent, grad_in in zip(node.parents, node.backward(grad_out)):
-                if parent is None or grad_in is None:
+        seed = np.ones_like(self.data)
+        pending: dict[_Node, np.ndarray] = {} if root.backward is None else {root: seed}
+        arrived: dict[_Node, list] = {root: [seed]} if root.backward is None else {}  # each leaf's, in order
+        lane = None  # what backward's helper thread is to compute, when it has one
+        if resources.scoring_workers() > 1:
+            resources.apply_malloc_policy()  # before the helper can open a malloc arena of its own
+            lane = queue.SimpleQueue()
+            helper = threading.Thread(target=_run_all, args=(lane,))
+            helper.start()
+        try:
+            for node in reversed(_toposort(root)):
+                grad_out = pending.pop(node, None)
+                if grad_out is None:
                     continue
-                if parent in pending:
-                    pending[parent] = pending[parent] + grad_in
-                else:
-                    pending[parent] = grad_in
+                for parent, grad_in in zip(node.parents, node.backward(grad_out)):
+                    if parent is None or grad_in is None:
+                        continue
+                    if isinstance(grad_in, _Deferred):
+                        if lane is not None and parent.backward is None:
+                            lane.put(grad_in)
+                        else:
+                            grad_in = grad_in.compute()
+                    if parent.backward is None:  # a leaf
+                        arrived.setdefault(parent, []).append(grad_in)
+                    elif parent in pending:
+                        pending[parent] = pending[parent] + grad_in
+                    else:
+                        pending[parent] = grad_in
+        finally:
+            if lane is not None:
+                lane.put(None)
+                helper.join()
+        totals = []
+        for node, grads in arrived.items():
+            total = None
+            for grad in grads:
+                grad = grad.result() if isinstance(grad, _Deferred) else grad
+                total = grad if total is None else total + grad
+            totals.append((node.leaf, total))
+        for leaf, total in totals:
+            total = total if leaf.grad is None else leaf.grad + total
+            leaf.grad = np.asarray(total, dtype=np.float64)  # 0-d arithmetic gives numpy scalars
 
     # -- operator sugar -------------------------------------------------
 
@@ -219,6 +263,39 @@ class _Node:
         self.leaf = leaf
 
 
+class _Deferred:
+    """A gradient for the side of an op that is usually a leaf, not computed yet: ``compute()`` computes it.
+
+    On ``backward``'s helper thread ``run`` computes it and keeps the gradient,
+    or what ``compute`` raised, in place of the callable and the arrays it
+    holds; ``result()`` then returns the one or raises the other.
+    """
+
+    __slots__ = ("compute", "value", "error")
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.value = self.error = None
+
+    def run(self) -> None:
+        try:
+            self.value = self.compute()
+        except BaseException as exc:  # raised again by result(), on the thread that walks the tape
+            self.error = exc
+        self.compute = None
+
+    def result(self):
+        if self.error is not None:
+            raise self.error
+        return self.value
+
+
+def _run_all(lane: queue.SimpleQueue) -> None:
+    """``backward``'s helper thread: run each ``_Deferred`` on ``lane`` in the order put, until ``None``."""
+    while (job := lane.get()) is not None:
+        job.run()
+
+
 def _node_of(t: Tensor) -> _Node | None:
     """``t``'s tape node, ``None`` for a constant; a requires-grad leaf gets its node here."""
     if not t.requires_grad:
@@ -271,6 +348,11 @@ def _scatter(ufunc, fill: float, index, values: np.ndarray, num_rows: int) -> np
     return table.reshape((num_rows,) + row_shape)
 
 
+def _summed(grad: np.ndarray, shape: tuple[int, ...]):
+    """``grad`` itself where it has ``shape``, else its deferred ``_unbroadcast`` (a bias's gradient)."""
+    return grad if grad.shape == shape else _Deferred(lambda: _unbroadcast(grad, shape))
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum ``grad`` back down to ``shape`` after numpy broadcasting."""
     while grad.ndim > len(shape):
@@ -289,7 +371,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     a_shape, b_shape = a.data.shape, b.data.shape
 
     def backward(g):
-        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
+        return _summed(g, a_shape), _summed(g, b_shape)
 
     return _make(a.data + b.data, (a, b), backward)
 
@@ -338,7 +420,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         g_rows = g.reshape(-1, g.shape[-1])
         return (
             None if b_data is None else (g_rows @ b_data.T).reshape(a_shape),
-            None if a_rows is None else a_rows.T @ g_rows,
+            None if a_rows is None else _Deferred(lambda: a_rows.T @ g_rows),
         )
 
     return _make((rows @ b.data).reshape(*a_shape[:-1], b.shape[1]), (a, b), backward)
@@ -420,7 +502,7 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     num_rows = a.shape[0]
 
     def backward(g):
-        return (_scatter(np.add, 0.0, idx, g, num_rows),)
+        return (_Deferred(lambda: _scatter(np.add, 0.0, idx, g, num_rows)),)
 
     return _make(a.data[idx], (a,), backward)
 
@@ -555,8 +637,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
     def backward(g):
         lead = tuple(range(g.ndim - 1))
-        d_gain = (g * normed).sum(axis=lead)
-        d_bias = g.sum(axis=lead)
+        d_gain = _Deferred(lambda: (g * normed).sum(axis=lead))
+        d_bias = _Deferred(lambda: g.sum(axis=lead))
         d_normed = g * gain_data
         d_x = inv * (
             d_normed

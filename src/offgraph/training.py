@@ -319,7 +319,6 @@ def fit(config: TrainConfig, corpus: Corpus) -> TrainedRun:
         epochs_run = epoch
         epoch_losses = []
         for batch in batches(train_seqs, config.batch_size, shuffle_rng):
-            zero_grads(all_params)
             authors = model.user_embeddings(graph, graph.node_ids([s.author_id for s in batch]), rng=dropout_rng)
             probs = model.forward_batch(batch, authors, rng=dropout_rng)
             loss = focal_loss_tensor(probs, [s.label for s in batch], focal)
@@ -330,6 +329,7 @@ def fit(config: TrainConfig, corpus: Corpus) -> TrainedRun:
             del authors, probs, loss  # frees this step's tape before the next forward builds its own
             for opt in optimizers:
                 opt.step()
+            zero_grads(all_params)  # no step's gradients outlive it, so the returned model holds none
             epoch_losses.append(value)
         losses.append(float(np.mean(epoch_losses)))
 

@@ -1,12 +1,13 @@
 """Composed model: ablation wiring, parameter groups, predictions."""
 
 import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from offgraph import attention, encoder, fusion, gat, resources
+from offgraph import attention, encoder, fusion, gat, resources, tensor
 from offgraph.corpus import TokenSequence, build_vocab, encode, split_corpus
 from offgraph.encoder import encode as encode_tokens
 from offgraph.fusion import add_position_encoding, assemble, classify, fuse_attention
@@ -415,3 +416,41 @@ def test_predict_scores_the_same_at_any_worker_count(setting, monkeypatch):
             scored(workers, [overlong, *batch, out_of_vocab])
         errors.append(str(raised.value))
     assert errors == ["token id out of vocabulary range"] * 2
+
+
+def test_backward_gives_every_leaf_the_same_gradient_on_its_helper_thread(setting, monkeypatch):
+    """One training step's backward at one worker, where every deferred gradient is computed
+    inline, and at three, where backward hands those of leaves to its helper thread."""
+    _, _, graph, seqs = setting
+    ran_on_main = []
+    run = tensor._Deferred.run
+
+    def watched(job):
+        ran_on_main.append(threading.current_thread() is threading.main_thread())
+        run(job)
+
+    monkeypatch.setattr(tensor._Deferred, "run", watched)
+
+    def gradients(workers):
+        monkeypatch.setattr(resources, "scoring_workers", lambda: workers)
+        ran_on_main.clear()
+        model, _ = _model(setting, attention_dropout=0.3, hidden_dropout=0.2)
+        rng = np.random.default_rng(0)
+        authors = model.user_embeddings(graph, graph.node_ids([s.author_id for s in seqs]), rng=rng)
+        focal_loss_tensor(model.forward_batch(seqs, authors, rng=rng), [s.label for s in seqs]).backward()
+        return {name: p.grad for name, p in model.named_parameters().items()}
+
+    inline = gradients(1)
+    assert ran_on_main == []  # nothing handed to a helper thread
+    assert all(g is not None for g in inline.values())
+    switching = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the interpreter between threads as often as it can
+    try:
+        for _ in range(3):
+            threaded = gradients(3)
+            assert ran_on_main and not any(ran_on_main)
+            assert list(threaded) == list(inline)
+            for name, grad in inline.items():
+                assert np.array_equal(threaded[name], grad), name
+    finally:
+        sys.setswitchinterval(switching)

@@ -27,8 +27,10 @@ fusion_heads = 2
 
 
 def test_the_cli_fit_and_predict_each_apply_the_one_malloc_policy(tmp_path, monkeypatch):
+    """And every backward pass that starts a helper thread, before it does."""
     callers = []
     monkeypatch.setattr(resources, "apply_malloc_policy", lambda: callers.append(sys._getframe(1).f_code.co_name))
+    monkeypatch.setattr(resources, "scoring_workers", lambda: 2)
     corpus = generate_corpus(200, 25, seed=5)
     write_tweets_jsonl(corpus.tweets, tmp_path / "tweets.jsonl")
     write_edges_tsv(corpus.edges, tmp_path / "edges.tsv")
@@ -38,7 +40,8 @@ def test_the_cli_fit_and_predict_each_apply_the_one_malloc_policy(tmp_path, monk
         "--edges", str(tmp_path / "edges.tsv"), "--out", str(tmp_path / "result.json"),
     ])
     assert status == 0
-    assert callers == ["main", "fit", "predict"]  # one epoch, scored once
+    steps = callers.count("backward")
+    assert steps > 0 and callers == ["main", "fit", *["backward"] * steps, "predict"]  # one epoch, scored once
 
 
 @pytest.mark.parametrize(

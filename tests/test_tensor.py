@@ -1,6 +1,9 @@
 """Numeric core: forward values, backward gradients, tape semantics."""
 
+import itertools
 import math
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from offgraph import resources
 from offgraph import tensor as T
 from offgraph.tensor import Tensor
 
@@ -60,6 +64,65 @@ def test_backward_keeps_gradients_on_leaves_only():
     fn().backward()
     assert kept["hidden"].requires_grad and kept["hidden"].grad is None
     assert kept["probs"].requires_grad and kept["probs"].grad is None
+
+
+def test_a_scalar_leaf_gets_a_0d_float64_array_gradient():
+    x = Tensor(2.0, requires_grad=True)
+    (x * x).mean().backward()  # 0-d numpy arithmetic returns scalars, not arrays
+    assert type(x.grad) is np.ndarray and x.grad.dtype == np.float64 and x.grad.shape == ()
+    assert x.grad == 4.0
+    (x * x).mean().backward()
+    assert type(x.grad) is np.ndarray and x.grad == 8.0
+    x.backward()  # the loss is the leaf itself
+    assert type(x.grad) is np.ndarray and x.grad == 9.0
+
+
+@pytest.fixture
+def switching():
+    """Hand the interpreter between threads as often as it can."""
+    before = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(before)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_a_leafs_gradients_sum_in_the_order_they_arrive(monkeypatch, switching, workers):
+    """One weight feeds three products whose gradients cancel to 1.0 only when summed in the
+    tape's order: last product's first, as a walk that sums as it goes meets them."""
+    monkeypatch.setattr(resources, "scoring_workers", lambda: workers)
+    parts = [1.0, -1e16, 1e16]  # the weight's gradient from each product, in the order of the sum below
+    sums = {(p + q) + r for p, q, r in itertools.permutations(parts)}
+    assert len(sums) > 1  # another order would give other bits
+    w = Tensor(np.ones((1, 1)), requires_grad=True)
+    one = Tensor(np.ones((1, 1)))
+    terms = [(one @ w) * Tensor(c) for c in parts]
+    loss = (terms[0] + terms[1] + terms[2]).sum()
+    for _ in range(5):
+        w.grad = None
+        loss.backward()
+        assert w.grad.tolist() == [[(parts[2] + parts[1]) + parts[0]]] == [[1.0]]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_a_failing_deferred_gradient_raises_from_backward_and_changes_no_gradient(monkeypatch, switching, workers):
+    monkeypatch.setattr(resources, "scoring_workers", lambda: workers)
+    table = Tensor(np.ones((3, 2)), requires_grad=True)
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    loss = T.gather_rows(table, [0, 2, 0]).sum() + (x * x).sum()
+    on_main = []
+
+    def fail(*args):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        raise RuntimeError("scatter failed")
+
+    monkeypatch.setattr(T, "_scatter", fail)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="scatter failed"):
+        loss.backward()
+    assert threading.active_count() == threads
+    assert on_main == [workers == 1]  # with more than one worker, on backward's helper thread
+    assert table.grad is None and x.grad is None
 
 
 def test_no_grad_records_nothing():

@@ -308,6 +308,12 @@ def test_fit_holds_one_training_steps_tape_at_a_time(corpus, monkeypatch):
     assert len(steps) > 1
 
 
+def test_fit_returns_a_model_that_holds_no_gradients(corpus):
+    params = fit(_tiny_config(max_epochs=1, early_stop_patience=1), corpus).model.named_parameters()
+    assert params
+    assert [name for name, p in params.items() if p.grad is not None] == []
+
+
 def test_divergence_aborts(corpus):
     # a step this large overflows float64 activations into inf/nan
     cfg = _tiny_config(lr_rest=1e160, lr_gat=1e160, max_epochs=3, early_stop_patience=3)
