@@ -19,7 +19,6 @@ import argparse
 import json
 import sys
 
-from . import resources
 from .corpus import build_vocab, encode, load_corpus, load_tweets, write_edges_tsv, write_tweets_jsonl
 from .graph import INIT_STRATEGIES, VARIANTS, build_graph, graph_to_json, with_node_features
 from .metrics import metrics_report
@@ -186,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    resources.apply_malloc_policy()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

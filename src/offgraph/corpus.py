@@ -60,7 +60,7 @@ class Corpus:
 
 
 def load_tweets(path) -> list[RawTweet]:
-    """Parse a tweets JSONL file; a bad record raises ``path:lineno: bad tweet record``."""
+    """Parse a tweets JSONL file (ids as their text); a bad record raises ``path:lineno: bad tweet record``."""
     tweets: list[RawTweet] = []
     for lineno, line in numbered_lines(path):
         line = line.strip()
@@ -68,14 +68,12 @@ def load_tweets(path) -> list[RawTweet]:
             continue
         try:
             obj = json.loads(line)
-            tweets.append(
-                RawTweet(
-                    tweet_id=str(obj["tweet_id"]),
-                    user_id=str(obj["user_id"]),
-                    text=str(obj["text"]),
-                    label=int(obj["label"]),
-                )
-            )
+            text, label = obj["text"], obj["label"]
+            if not isinstance(text, str):
+                raise ValueError(f"text must be a string, got {text!r}")
+            if type(label) is not int:  # not a bool, a float or a string that would convert to one
+                raise ValueError(f"label must be the integer 0 or 1, got {label!r}")
+            tweets.append(RawTweet(tweet_id=str(obj["tweet_id"]), user_id=str(obj["user_id"]), text=text, label=label))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}:{lineno}: bad tweet record: {exc}") from exc
     return tweets

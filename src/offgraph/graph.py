@@ -150,7 +150,10 @@ def _arcs(nodes: list[str], name_pairs) -> np.ndarray:
     index = {u: i for i, u in enumerate(nodes)}
     if set(map(len, name_pairs)) - {2}:
         raise ValueError("every edge must be a (follower, followee) pair")
-    ids = np.fromiter(map(index.__getitem__, chain.from_iterable(name_pairs)), dtype=np.int64).reshape(-1, 2)
+    try:
+        ids = np.fromiter(map(index.__getitem__, chain.from_iterable(name_pairs)), dtype=np.int64).reshape(-1, 2)
+    except KeyError as exc:
+        raise ValueError(f"an edge names user {exc.args[0]!r}, who is not a node of the graph") from None
     ids = ids[ids[:, 0] != ids[:, 1]]
     return np.stack(np.divmod(_distinct(ids[:, 0] * len(nodes) + ids[:, 1]), len(nodes)), axis=1)
 

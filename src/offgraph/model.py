@@ -17,7 +17,7 @@ only the pieces the selected ablation keeps:
 
 from __future__ import annotations
 
-import threading
+import functools
 
 import numpy as np
 
@@ -170,54 +170,35 @@ class DetectionModel:
         ``config.batch_size`` tweets, so each chunk pads only to its own
         longest tweet and memory stays flat in the number of tweets. Each
         scored tweet's author is embedded once, from the authors'
-        neighbourhoods. ``resources.scoring_workers()`` chunks are scored at
-        once, on cores BLAS leaves idle: the calling thread and one helper
-        thread per further worker each take the next chunk not yet taken.
-        The chunks and their arithmetic are the same at any worker count, so
-        every score is too, and a failing chunk raises what one loop would.
+        neighbourhoods. Each chunk is a ``resources.Job`` on ``helper_pool()``,
+        run by its threads and this one in length order, ``scoring_workers()``
+        at once. The chunks and their arithmetic, so every score, are the same
+        at any worker count, and the first failing chunk in length order raises.
         """
         if not seqs:
             return np.zeros(0)
         order = np.argsort([len(s) for s in seqs], kind="stable")
         seqs = [seqs[i] for i in order]
         step = self.config.batch_size
-        resources.apply_malloc_policy()  # before a scoring thread can open a malloc arena of its own
         with no_grad():
             # no lookup without a graph side, so the text-only model scores authors the graph lacks
             authors = None
             if self.gat is not None:
                 authors = self.user_embeddings(graph, graph.node_ids([s.author_id for s in seqs]))
 
-            starts = iter(range(0, len(seqs), step))
-            taking = threading.Lock()
-            scored: dict[int, np.ndarray] = {}
-            failed: dict[int, Exception] = {}
+            def score(i: int) -> np.ndarray:  # the chunk of tweets from the i-th on
+                return self.forward_batch(seqs[i : i + step], None if authors is None else authors[i : i + step]).data
 
-            def lane() -> None:  # score the next chunk not yet taken until none is left or one fails
-                while True:
-                    with taking:
-                        i = next(starts, None)
-                    if i is None:
-                        return
-                    try:
-                        chunk_authors = None if authors is None else authors[i : i + step]
-                        scored[i] = self.forward_batch(seqs[i : i + step], chunk_authors).data
-                    except Exception as exc:  # re-raised below, after every lane has stopped
-                        failed[i] = exc
-                        return
-
-            # This thread is one of the workers, so one worker starts no thread: at two BLAS
-            # threads a lone scoring thread ran about 4 % slower than the caller itself.
-            helpers = [threading.Thread(target=lane) for _ in range(resources.scoring_workers() - 1)]
-            for helper in helpers:
-                helper.start()
-            try:
-                lane()
-            finally:  # joined before no_grad exits: the switch is process-wide
-                for helper in helpers:
-                    helper.join()
-        if failed:
-            raise failed[min(failed)]  # the chunk one loop in length order would have failed at
+            jobs = [resources.Job(functools.partial(score, i)) for i in range(0, len(seqs), step)]
+            # the pool is left, so its helpers are joined, before no_grad exits: the switch is process-wide
+            with resources.helper_pool() as lane:
+                if lane is None:
+                    for job in jobs:
+                        job.run()
+                else:
+                    for job in jobs:
+                        lane.put(job)
+                    resources.drain(lane)  # this thread is one of the workers
         probs = np.empty(len(seqs))
-        probs[order] = np.concatenate([scored[i] for i in range(0, len(seqs), step)])
+        probs[order] = np.concatenate([job.result() for job in jobs])
         return probs

@@ -1,12 +1,13 @@
-"""Process-wide resource settings: glibc's malloc policy and the worker count.
+"""Process-wide resource settings: glibc's malloc policy, the worker count and the helper pool.
 
-Both are decisions for the whole process, so they live here once and every
-entry point asks this module: ``offgraph.cli.main``, ``fit`` at its start,
-``DetectionModel.predict`` before it starts its scoring threads and
-``Tensor.backward`` before it starts its helper thread.
+Each is a decision for the whole process, so it lives here once: no other
+offgraph module touches malloc or starts a thread.
 
 **The malloc policy** (``apply_malloc_policy``; glibc ``mallopt(3)``, a no-op
-elsewhere) sets three values, for the whole process and for good:
+elsewhere) is set when this module is imported, which importing any part of
+``offgraph`` does: before any offgraph code runs or any thread can open a
+malloc arena of its own. Its three values hold for good, with no switch to
+opt out, since no caller needs others:
 
   * ``M_TRIM_THRESHOLD`` at its ceiling keeps freed heap memory in the
     process. ``fit`` frees each step's tape before the next step builds its
@@ -19,32 +20,31 @@ elsewhere) sets three values, for the whole process and for good:
     threshold stops glibc from raising its mmap threshold as large blocks
     are freed, so without this every array above 128 KiB would be mapped
     anew.
-  * ``M_ARENA_MAX`` at 1. Each thread that allocates would otherwise get a
-    malloc arena of its own, which keeps its freed chunks as the main one
-    does: scoring 1,000 planted tweets from a checkpoint on two threads
-    raised the process's peak RSS from 88.8 MB (one thread) to 100-103 MB
-    with a second arena, and to 88.9-89.9 MB with this cap (2-core box, one
-    BLAS thread).
-
-There is deliberately no switch to opt out: no caller needs other values.
+  * ``M_ARENA_MAX`` at 1. A thread's own arena keeps its freed chunks too:
+    scoring 1,000 planted tweets from a checkpoint on two threads took the
+    peak RSS from 88.8 MB (one thread) to 100-103 MB with a second arena,
+    and to 88.9-89.9 MB with this cap (2-core box, one BLAS thread).
 
 **The worker count** (``scoring_workers``) is the number of cores this
 process may run on (``os.sched_getaffinity``) divided by the threads
 OpenBLAS runs each product on, and at least 1: one BLAS thread on a 2-core
 box gives 2 workers; the default of one BLAS thread per core gives 1. The
 BLAS count is read from the OpenBLAS library numpy loaded, never set; where
-it cannot be read (another BLAS, or no ``/proc``) the count is 1. The one
-count sizes both uses of the cores BLAS leaves idle, so neither runs more
-BLAS threads than there are cores:
+it cannot be read (another BLAS, or no ``/proc``) the count is 1.
 
-  * ``predict`` scores that many chunks at once. More would not pay: at two
-    BLAS threads on 2 cores, two scoring threads took 123 ms for a
-    1,000-tweet ``predict`` that one thread scored in 107 ms (medians of 30).
-  * ``Tensor.backward``, above one worker, starts one helper thread that
-    computes parameters' gradients while the calling thread walks on down
-    the tape. A planted fit trained 3,119 tweets/s against 2,726 without it
+**The helper pool** (``helper_pool``) starts one thread per worker beyond
+the calling thread, all running jobs (``Job``) from one queue, so no more
+BLAS threads run than there are cores. The caller counts as a worker: at two
+BLAS threads a lone scoring thread ran about 4 % slower than the caller did.
+Neither use changes a result's bits:
+
+  * ``predict`` queues one job per chunk, then runs jobs itself (``drain``).
+    More workers would not pay: at two BLAS threads on 2 cores, two scoring
+    threads took 123 ms for a 1,000-tweet ``predict`` one scored in 107 ms.
+  * ``Tensor.backward`` queues parameters' gradients and walks on down the
+    tape: a planted fit trained 3,119 tweets/s against 2,726 without
     (perfbench ``train-planted`` medians of 10 paired 30 s runs, 2-core box,
-    one BLAS thread), and the wide-graph fit 2,639 against 2,313.
+    one BLAS thread), the wide-graph fit 2,639 against 2,313.
 """
 
 from __future__ import annotations
@@ -52,8 +52,12 @@ from __future__ import annotations
 import ctypes
 import functools
 import os
+import queue
+import threading
+from collections.abc import Iterator
+from contextlib import contextmanager
 
-__all__ = ["apply_malloc_policy", "blas_threads", "scoring_workers"]
+__all__ = ["Job", "apply_malloc_policy", "blas_threads", "drain", "helper_pool", "scoring_workers"]
 
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8  # mallopt parameters, malloc.h
 
@@ -102,8 +106,72 @@ def blas_threads() -> int | None:
 
 
 def scoring_workers() -> int:
-    """Threads ``predict`` scores on (above 1, ``backward`` starts a helper): cores // BLAS threads, at least 1."""
+    """Threads that may use the cores BLAS leaves idle, the caller's included: cores // BLAS threads, at least 1."""
     threads = blas_threads()
     if not threads:
         return 1
     return max(1, len(os.sched_getaffinity(0)) // threads)
+
+
+class Job:
+    """A computation not run yet; ``run`` trades the callable and its arrays for its result or error."""
+
+    __slots__ = ("compute", "value", "error")
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.value = self.error = None
+
+    def run(self) -> None:
+        try:
+            self.value = self.compute()
+        except BaseException as exc:  # raised again by result(), on the thread that asks
+            self.error = exc
+        self.compute = None
+
+    def result(self):
+        if self.error is not None:
+            raise self.error
+        return self.value
+
+
+@contextmanager
+def helper_pool() -> Iterator[queue.SimpleQueue | None]:
+    """Start ``scoring_workers() - 1`` threads that run each ``Job`` put on the queue this yields.
+
+    At one worker it starts none and yields ``None``. However the block ends,
+    the threads run every job still queued and are joined on exit.
+    """
+    workers = scoring_workers()
+    lane = queue.SimpleQueue() if workers > 1 else None
+    helpers = []
+    try:
+        for _ in range(workers - 1):
+            # a daemon, so a helper that missed its None cannot keep the interpreter from exiting
+            helper = threading.Thread(target=_run_until_none, args=(lane,), daemon=True)
+            helper.start()
+            helpers.append(helper)
+        yield lane
+    finally:
+        for _ in helpers:
+            lane.put(None)
+        for helper in helpers:
+            helper.join()
+
+
+def drain(lane: queue.SimpleQueue) -> None:
+    """Run on this thread each job still on ``lane`` until it is empty; the helpers may still be running theirs."""
+    try:
+        while True:
+            lane.get_nowait().run()  # run() raises nothing
+    except queue.Empty:
+        pass
+
+
+def _run_until_none(lane: queue.SimpleQueue) -> None:
+    """A helper thread: run each ``Job`` on ``lane`` in the order put, until ``None``."""
+    while (job := lane.get()) is not None:
+        job.run()
+
+
+apply_malloc_policy()

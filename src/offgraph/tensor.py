@@ -33,17 +33,15 @@ Conventions:
     A backward closure may return ``None`` for a parent that does not
     require grad; the three products do, so a constant operand costs no
     gradient product,
-  * four closures return a ``_Deferred`` gradient, a computation not run
-    yet, for the side that is usually a parameter: ``matmul``'s weight
-    product, ``layer_norm``'s gain and bias sums, ``add``'s sum over a
-    broadcast side and ``gather_rows``' scatter into its table. No later
-    backward step reads a leaf's gradient, so above one worker
-    (``resources.scoring_workers()``) ``backward()`` hands those bound for a
-    leaf to one helper thread and walks on. It computes the others, and all
-    of them at one worker, at once. Each leaf's contributions are summed
-    after the walk, left to right in the order they arrived, which is the
-    order and arithmetic of a walk that sums as it goes: every gradient is
-    the same to the bit with or without the helper,
+  * four closures return a ``resources.Job``, a gradient not computed yet,
+    for the side that is usually a parameter: ``matmul``'s weight product,
+    ``layer_norm``'s gain and bias sums, ``add``'s sum over a broadcast side
+    and ``gather_rows``' scatter into its table. No later backward step reads
+    a leaf's gradient, so ``backward()`` queues those bound for a leaf on
+    ``resources.helper_pool()`` and computes the rest, and all where the pool
+    has no helpers, at once. Each leaf's contributions are summed after the
+    walk in the order they arrived, as a walk that sums as it goes would:
+    every gradient is the same to the bit at any worker count,
   * a function that draws random numbers takes a ``np.random.Generator``
     and draws nothing without one: ``dropout`` with ``rng=None`` is the
     identity, which is evaluation mode. Dropout uses inverted scaling.
@@ -60,13 +58,11 @@ backward and the segment ops), goes through the one helper ``_scatter``.
 from __future__ import annotations
 
 import math
-import queue
-import threading
 from contextlib import contextmanager
 
 import numpy as np
 
-from . import resources
+from .resources import Job, helper_pool
 
 __all__ = [
     "Tensor",
@@ -137,10 +133,9 @@ class Tensor:
         """Populate ``.grad`` for every requires-grad leaf reachable from here.
 
         The loss must be a single element. Repeated calls without zeroing
-        accumulate one more analytic pass each time. Where
-        ``resources.scoring_workers()`` is above 1, the deferred gradients of
-        leaves are computed on one helper thread, which is joined before this
-        returns; a failure there is raised here, and then no ``.grad`` changes.
+        accumulate one more analytic pass each time. Leaves' deferred gradients
+        run on ``helper_pool()``'s threads, joined before this returns; a
+        failure there is raised here, and then no ``.grad`` changes.
         """
         if self.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {self.shape}")
@@ -150,13 +145,7 @@ class Tensor:
         seed = np.ones_like(self.data)
         pending: dict[_Node, np.ndarray] = {} if root.backward is None else {root: seed}
         arrived: dict[_Node, list] = {root: [seed]} if root.backward is None else {}  # each leaf's, in order
-        lane = None  # what backward's helper thread is to compute, when it has one
-        if resources.scoring_workers() > 1:
-            resources.apply_malloc_policy()  # before the helper can open a malloc arena of its own
-            lane = queue.SimpleQueue()
-            helper = threading.Thread(target=_run_all, args=(lane,))
-            helper.start()
-        try:
+        with helper_pool() as lane:
             for node in reversed(_toposort(root)):
                 grad_out = pending.pop(node, None)
                 if grad_out is None:
@@ -164,7 +153,7 @@ class Tensor:
                 for parent, grad_in in zip(node.parents, node.backward(grad_out)):
                     if parent is None or grad_in is None:
                         continue
-                    if isinstance(grad_in, _Deferred):
+                    if isinstance(grad_in, Job):
                         if lane is not None and parent.backward is None:
                             lane.put(grad_in)
                         else:
@@ -175,15 +164,11 @@ class Tensor:
                         pending[parent] = pending[parent] + grad_in
                     else:
                         pending[parent] = grad_in
-        finally:
-            if lane is not None:
-                lane.put(None)
-                helper.join()
         totals = []
         for node, grads in arrived.items():
             total = None
             for grad in grads:
-                grad = grad.result() if isinstance(grad, _Deferred) else grad
+                grad = grad.result() if isinstance(grad, Job) else grad
                 total = grad if total is None else total + grad
             totals.append((node.leaf, total))
         for leaf, total in totals:
@@ -263,39 +248,6 @@ class _Node:
         self.leaf = leaf
 
 
-class _Deferred:
-    """A gradient for the side of an op that is usually a leaf, not computed yet: ``compute()`` computes it.
-
-    On ``backward``'s helper thread ``run`` computes it and keeps the gradient,
-    or what ``compute`` raised, in place of the callable and the arrays it
-    holds; ``result()`` then returns the one or raises the other.
-    """
-
-    __slots__ = ("compute", "value", "error")
-
-    def __init__(self, compute):
-        self.compute = compute
-        self.value = self.error = None
-
-    def run(self) -> None:
-        try:
-            self.value = self.compute()
-        except BaseException as exc:  # raised again by result(), on the thread that walks the tape
-            self.error = exc
-        self.compute = None
-
-    def result(self):
-        if self.error is not None:
-            raise self.error
-        return self.value
-
-
-def _run_all(lane: queue.SimpleQueue) -> None:
-    """``backward``'s helper thread: run each ``_Deferred`` on ``lane`` in the order put, until ``None``."""
-    while (job := lane.get()) is not None:
-        job.run()
-
-
 def _node_of(t: Tensor) -> _Node | None:
     """``t``'s tape node, ``None`` for a constant; a requires-grad leaf gets its node here."""
     if not t.requires_grad:
@@ -350,7 +302,7 @@ def _scatter(ufunc, fill: float, index, values: np.ndarray, num_rows: int) -> np
 
 def _summed(grad: np.ndarray, shape: tuple[int, ...]):
     """``grad`` itself where it has ``shape``, else its deferred ``_unbroadcast`` (a bias's gradient)."""
-    return grad if grad.shape == shape else _Deferred(lambda: _unbroadcast(grad, shape))
+    return grad if grad.shape == shape else Job(lambda: _unbroadcast(grad, shape))
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -420,7 +372,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         g_rows = g.reshape(-1, g.shape[-1])
         return (
             None if b_data is None else (g_rows @ b_data.T).reshape(a_shape),
-            None if a_rows is None else _Deferred(lambda: a_rows.T @ g_rows),
+            None if a_rows is None else Job(lambda: a_rows.T @ g_rows),
         )
 
     return _make((rows @ b.data).reshape(*a_shape[:-1], b.shape[1]), (a, b), backward)
@@ -502,7 +454,7 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     num_rows = a.shape[0]
 
     def backward(g):
-        return (_Deferred(lambda: _scatter(np.add, 0.0, idx, g, num_rows)),)
+        return (Job(lambda: _scatter(np.add, 0.0, idx, g, num_rows)),)
 
     return _make(a.data[idx], (a,), backward)
 
@@ -637,8 +589,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
     def backward(g):
         lead = tuple(range(g.ndim - 1))
-        d_gain = _Deferred(lambda: (g * normed).sum(axis=lead))
-        d_bias = _Deferred(lambda: g.sum(axis=lead))
+        d_gain = Job(lambda: (g * normed).sum(axis=lead))
+        d_bias = Job(lambda: g.sum(axis=lead))
         d_normed = g * gain_data
         d_x = inv * (
             d_normed

@@ -24,7 +24,6 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from . import resources
 from .attention import fold_separate_qkv
 from .corpus import Corpus, Split, Vocab, batches, build_vocab, encode, preprocess_corpus, split_corpus
 from .fusion import POOLINGS
@@ -289,7 +288,6 @@ def _check_split(split: Split) -> None:
 def fit(config: TrainConfig, corpus: Corpus) -> TrainedRun:
     """Train per the full protocol and keep the best-F1 epoch's parameters."""
     config.validate()
-    resources.apply_malloc_policy()
     corpus = preprocess_corpus(corpus)
     split = split_corpus(corpus, config.train_fraction, _stream(config.seed, 0), config.stratify_split)
     _check_split(split)

@@ -1,4 +1,5 @@
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -30,3 +31,21 @@ def attention_probs(monkeypatch):
 
     monkeypatch.setattr(offgraph.attention, "softmax", keep)
     return captured
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_its_test():
+    """Fail a test that leaves a thread it started alive, and name the thread.
+
+    A helper thread that missed its stop signal would otherwise wait on its
+    queue unnoticed until the process exits (or, were it no daemon, keep the
+    process from exiting, with nothing printed).
+    """
+    before = set(threading.enumerate())
+    yield
+    alive = [t for t in threading.enumerate() if t not in before]
+    for thread in alive:
+        thread.join(timeout=1.0)  # one that is on its way out is no leak
+    alive = [t.name for t in alive if t.is_alive()]
+    if alive:
+        pytest.fail(f"threads left alive: {', '.join(alive)}")

@@ -1,5 +1,7 @@
 """Corpus loading, splits, vocabulary, encoding, batching, synthetic data."""
 
+import json
+import re
 from collections import Counter
 
 import numpy as np
@@ -14,6 +16,7 @@ from offgraph.corpus import (
     build_vocab,
     encode,
     load_corpus,
+    load_tweets,
     preprocess_corpus,
     split_corpus,
     tokenize,
@@ -62,6 +65,33 @@ def test_malformed_tweet_line_reports_lineno(tmp_path):
     edges.write_text("")
     with pytest.raises(ValueError, match=":2"):
         load_corpus(path, edges)
+
+
+@pytest.mark.parametrize(
+    "field, value, problem",
+    [
+        ("label", 0.7, "label must be the integer 0 or 1, got 0.7"),
+        ("label", 1.0, "label must be the integer 0 or 1, got 1.0"),
+        ("label", True, "label must be the integer 0 or 1, got True"),
+        ("label", "1", "label must be the integer 0 or 1, got '1'"),
+        ("text", None, "text must be a string, got None"),
+        ("text", ["a"], "text must be a string, got ['a']"),
+    ],
+    ids=["label-0.7", "label-1.0", "label-true", "label-string", "text-null", "text-list"],
+)
+def test_a_tweet_record_with_a_label_or_text_of_the_wrong_type_is_rejected(tmp_path, field, value, problem):
+    """Nothing is coerced: 0.7 is no label 0, nor true a label 1, nor null the text 'None'."""
+    path = tmp_path / "tweets.jsonl"
+    good = {"tweet_id": "t1", "user_id": "u", "text": "x", "label": 0}
+    path.write_text("\n".join(json.dumps(r) for r in (good, {**good, "tweet_id": "t2", field: value})) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: bad tweet record: {re.escape(problem)}$"):
+        load_tweets(path)
+
+
+def test_numeric_tweet_and_user_ids_load_as_their_text(tmp_path):
+    path = tmp_path / "tweets.jsonl"
+    path.write_text('{"tweet_id": 17, "user_id": 4, "text": "x", "label": 1}\n')
+    assert load_tweets(path) == [RawTweet(tweet_id="17", user_id="4", text="x", label=1)]
 
 
 def test_malformed_edge_line_reports_lineno(tmp_path):

@@ -337,6 +337,11 @@ def test_graph_json_roundtrip():
     assert (back.variant, back.init_strategy) == ("soft", "all1")
 
 
+def test_graph_from_dict_names_an_edge_user_that_is_not_a_node():
+    with pytest.raises(ValueError, match="^an edge names user 'ghost', who is not a node of the graph$"):
+        graph_from_dict({"nodes": ["a", "b"], "edges": [["a", "b"], ["a", "ghost"]]})
+
+
 @pytest.mark.parametrize("edges", [[["a", "b", "a"]], [["a"]], [["a", "b"], ["b", "a", "b"], ["a"]]])
 def test_graph_from_dict_rejects_an_edge_that_is_not_a_pair(edges):
     with pytest.raises(ValueError, match="every edge must be a"):

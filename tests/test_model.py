@@ -385,7 +385,7 @@ def test_predict_chunks_by_batch_size(setting):
 
 def test_predict_scores_the_same_at_any_worker_count(setting, monkeypatch):
     """Five chunks of two, given out of length order, scored by one thread and by three (more than
-    the cores of a small box)."""
+    the cores of a small box); and two chunks, scored by three."""
     _, vocab, graph, seqs = setting
     model, _ = _model(setting, batch_size=2)
     author = seqs[0].author_id
@@ -399,6 +399,7 @@ def test_predict_scores_the_same_at_any_worker_count(setting, monkeypatch):
         return model.predict(tweets, graph)
 
     serial = scored(1, batch)
+    assert np.array_equal(scored(3, batch[:3]), scored(1, batch[:3]))  # two chunks, fewer than the workers
     switching = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # hand the interpreter between threads as often as it can
     try:
@@ -420,16 +421,16 @@ def test_predict_scores_the_same_at_any_worker_count(setting, monkeypatch):
 
 def test_backward_gives_every_leaf_the_same_gradient_on_its_helper_thread(setting, monkeypatch):
     """One training step's backward at one worker, where every deferred gradient is computed
-    inline, and at three, where backward hands those of leaves to its helper thread."""
+    inline, and at three, where backward hands those of leaves to its helper threads."""
     _, _, graph, seqs = setting
     ran_on_main = []
-    run = tensor._Deferred.run
+    run = resources.Job.run
 
     def watched(job):
         ran_on_main.append(threading.current_thread() is threading.main_thread())
         run(job)
 
-    monkeypatch.setattr(tensor._Deferred, "run", watched)
+    monkeypatch.setattr(resources.Job, "run", watched)
 
     def gradients(workers):
         monkeypatch.setattr(resources, "scoring_workers", lambda: workers)

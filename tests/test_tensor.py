@@ -104,24 +104,41 @@ def test_a_leafs_gradients_sum_in_the_order_they_arrive(monkeypatch, switching, 
         assert w.grad.tolist() == [[(parts[2] + parts[1]) + parts[0]]] == [[1.0]]
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-def test_a_failing_deferred_gradient_raises_from_backward_and_changes_no_gradient(monkeypatch, switching, workers):
+@pytest.mark.parametrize(
+    "workers, failing",
+    [
+        pytest.param(1, "_scatter", id="1"),
+        pytest.param(3, "_scatter", id="3"),
+        pytest.param(3, "_unbroadcast", id="3-walk"),
+    ],
+)
+def test_a_failing_deferred_gradient_raises_from_backward_and_changes_no_gradient(
+    monkeypatch, switching, workers, failing
+):
+    """``_scatter`` computes the table's deferred gradient, on a helper thread above one worker.
+    ``_unbroadcast`` fails on the calling thread, in ``x * x``'s closure, after that gradient was queued."""
     monkeypatch.setattr(resources, "scoring_workers", lambda: workers)
     table = Tensor(np.ones((3, 2)), requires_grad=True)
     x = Tensor([1.0, 2.0], requires_grad=True)
-    loss = T.gather_rows(table, [0, 2, 0]).sum() + (x * x).sum()
-    on_main = []
+    loss = (x * x).sum() + T.gather_rows(table, [0, 2, 0]).sum()  # the walk meets the table first
+    on_main = {}
 
-    def fail(*args):
-        on_main.append(threading.current_thread() is threading.main_thread())
-        raise RuntimeError("scatter failed")
+    def watched(name, call):
+        def run(*args):
+            on_main.setdefault(name, []).append(threading.current_thread() is threading.main_thread())
+            if name == failing:
+                raise RuntimeError(f"{name} failed")
+            return call(*args)
 
-    monkeypatch.setattr(T, "_scatter", fail)
+        return run
+
+    for name in ("_scatter", "_unbroadcast"):
+        monkeypatch.setattr(T, name, watched(name, getattr(T, name)))
     threads = threading.active_count()
-    with pytest.raises(RuntimeError, match="scatter failed"):
+    with pytest.raises(RuntimeError, match=f"{failing} failed"):
         loss.backward()
     assert threading.active_count() == threads
-    assert on_main == [workers == 1]  # with more than one worker, on backward's helper thread
+    assert on_main["_scatter"] == [workers == 1]  # with more than one worker, on a helper thread
     assert table.grad is None and x.grad is None
 
 

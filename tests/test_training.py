@@ -618,6 +618,8 @@ def test_checkpoint_is_json_with_shapes(tmp_path, corpus):
         ("graph", {**payload["graph"], "nodes": 5}, "the checkpoint graph is malformed ("),
         ("graph", {**payload["graph"], "features": payload["graph"]["features"][:3]}, "the checkpoint graph is malformed ("),
         ("graph", {**payload["graph"], "features": 3}, "the checkpoint graph is malformed ("),
+        ("graph", {**payload["graph"], "edges": [[payload["graph"]["nodes"][0], "ghost"]]},
+         "the checkpoint graph is malformed (an edge names user 'ghost', who is not a node of the graph)"),
         ("params", {**payload["params"], name: {**entry, "shape": "x"}},
          f"checkpoint parameter '{name}' has a malformed shape or data ("),
         *(
