@@ -82,7 +82,7 @@ def _cmd_build_graph(args) -> int:
 
 def _config_and_corpus(args):
     """The ``--config`` file (defaults without one) and the ``--tweets``/``--edges`` corpus."""
-    config = parse_config_file(args.config) if args.config else TrainConfig().validate()
+    config = parse_config_file(args.config) if args.config else TrainConfig()
     return config, load_corpus(args.tweets, args.edges)
 
 

@@ -69,6 +69,9 @@ def load_tweets(path) -> list[RawTweet]:
         try:
             obj = json.loads(line)
             text, label = obj["text"], obj["label"]
+            for key in ("tweet_id", "user_id"):
+                if type(obj[key]) not in (str, int):  # no null, bool, float, list or object to stringify
+                    raise ValueError(f"{key} must be a string or an integer, got {obj[key]!r}")
             if not isinstance(text, str):
                 raise ValueError(f"text must be a string, got {text!r}")
             if type(label) is not int:  # not a bool, a float or a string that would convert to one

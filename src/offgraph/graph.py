@@ -64,6 +64,8 @@ class SocialGraph:
         # Checks only, never re-sorts: with_node_features re-runs this through replace().
         self.index = {u: i for i, u in enumerate(self.nodes)}
         arcs, n = self.arcs, len(self.nodes)
+        if len(self.index) != n:
+            raise ValueError(f"node names must be distinct, got {n} names for {len(self.index)} users")
         if not isinstance(arcs, np.ndarray) or arcs.dtype != np.int64 or arcs.shape[1:] != (2,):
             raise ValueError("arcs must be an [A, 2] int64 array")
         if np.any((arcs < 0) | (arcs >= n)):

@@ -31,6 +31,8 @@ class FocalParams:
             raise ValueError("alpha must be in (0, 1)")
         if self.gamma < 0.0:
             raise ValueError("gamma must be non-negative")
+        if not self.gamma < np.inf:  # NaN fails this too
+            raise ValueError(f"gamma must be finite, got {self.gamma}")
 
 
 def focal_loss(y_pred, y_true, params: FocalParams | None = None) -> float:

@@ -75,8 +75,9 @@ class ConfigError(ValueError):
 _KINDS = {"bool": bool, "int": numbers.Integral, "float": numbers.Real, "str": str}  # by annotation name
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """The run protocol, checked when built (else ``ConfigError``) and frozen: use ``dataclasses.replace``."""
     # protocol
     train_fraction: float = 0.7
     batch_size: int = 64
@@ -108,8 +109,7 @@ class TrainConfig:
     vocab_min_freq: int = 1
     vocab_max_size: int = 30000
 
-    def validate(self) -> "TrainConfig":
-        """Return self, or raise ``ConfigError`` naming the keys of the first rule broken."""
+    def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
             if not isinstance(value, _KINDS[f.type]) or (f.type != "bool" and isinstance(value, bool)):
@@ -155,10 +155,9 @@ class TrainConfig:
                 FocalParams(**{name: getattr(self, f"focal_{name}")})
             except ValueError as exc:
                 raise ConfigError(f"focal_{exc}", f"focal_{name}") from None
-        return self
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+        for name in ("lr_gat", "lr_rest"):
+            if not getattr(self, name) < np.inf:  # NaN fails this too; checked last, so no older rule's message moves
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}", name)
 
 
 _BOOLS = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
@@ -192,14 +191,14 @@ def parse_config_file(path) -> TrainConfig:
         else:
             values[key] = raw
     try:
-        return TrainConfig(**values).validate()
+        return TrainConfig(**values)
     except ConfigError as exc:
         set_here = [lines[key] for key in exc.keys if key in lines]
         raise ValueError(f"{path}:{set_here[0]}: {exc}" if set_here else f"{path}: {exc}") from None
 
 
 def write_config_file(config: TrainConfig, path) -> None:
-    write_chunks(path, (f"{key} = {value}\n" for key, value in config.to_dict().items()))
+    write_chunks(path, (f"{key} = {value}\n" for key, value in asdict(config).items()))
 
 
 class EarlyStopper:
@@ -265,12 +264,6 @@ def _stream(seed: int, which: int) -> np.random.Generator:
     return np.random.default_rng([seed, which])
 
 
-def _encode_split(split: Split, vocab: Vocab, max_len: int):
-    train = [encode(t, vocab, max_len) for t in split.train]
-    test = [encode(t, vocab, max_len) for t in split.test]
-    return train, test
-
-
 def _check_split(split: Split) -> None:
     """Fail before training when the split cannot produce a test-F1 epoch."""
     if not split.train or not split.test:
@@ -287,7 +280,6 @@ def _check_split(split: Split) -> None:
 
 def fit(config: TrainConfig, corpus: Corpus) -> TrainedRun:
     """Train per the full protocol and keep the best-F1 epoch's parameters."""
-    config.validate()
     corpus = preprocess_corpus(corpus)
     split = split_corpus(corpus, config.train_fraction, _stream(config.seed, 0), config.stratify_split)
     _check_split(split)
@@ -296,7 +288,7 @@ def fit(config: TrainConfig, corpus: Corpus) -> TrainedRun:
     graph = with_node_features(build_graph(corpus), split.train, config.graph_variant, config.init_strategy, vocab)
 
     model = DetectionModel(config, len(vocab), graph.features.shape[1], _stream(config.seed, 1))
-    train_seqs, test_seqs = _encode_split(split, vocab, config.max_len)
+    train_seqs, test_seqs = ([encode(t, vocab, config.max_len) for t in side] for side in (split.train, split.test))
     focal = FocalParams(config.focal_alpha, config.focal_gamma)
 
     gat_group, rest_group = model.parameter_groups()
@@ -341,7 +333,7 @@ def fit(config: TrainConfig, corpus: Corpus) -> TrainedRun:
             break
 
     result = RunResult(
-        config=config.to_dict(),
+        config=asdict(config),
         seed=config.seed,
         epochs_run=epochs_run,
         best_epoch=stopper.best_epoch,
@@ -362,7 +354,8 @@ def run_grid(config: TrainConfig, corpus: Corpus, overrides: list[dict]) -> list
     Ablations, sweeps and seed scans are all override lists; a ten-seed scan
     is ``run_grid(config, corpus, [{"seed": s} for s in range(10)])``.
     """
-    return [train(replace(config, **o), corpus) for o in overrides]
+    configs = [replace(config, **o) for o in overrides]  # every override checked before the first fit
+    return [train(c, corpus) for c in configs]
 
 
 _METRIC_COLUMNS = ("auc", "accuracy", "precision", "recall", "f1")
@@ -479,7 +472,7 @@ def _checkpoint(payload) -> Checkpoint:
     unknown = sorted(set(payload["config"]) - {f.name for f in fields(TrainConfig)})
     if unknown:
         raise ValueError(f"unknown config keys {unknown}")
-    config = TrainConfig(**payload["config"]).validate()
+    config = TrainConfig(**payload["config"])
     try:
         vocab = Vocab(tokens=payload["vocab"])
     except (TypeError, ValueError) as exc:

@@ -58,7 +58,7 @@ def _tiny_config(**kw):
         d_ff=12, max_len=16, fusion_heads=2, seed=3,
     )
     base.update(kw)
-    return TrainConfig(**base).validate()
+    return TrainConfig(**base)
 
 
 # -- criterion: gradient correctness ------------------------------------------------

@@ -88,6 +88,21 @@ def test_a_tweet_record_with_a_label_or_text_of_the_wrong_type_is_rejected(tmp_p
         load_tweets(path)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("tweet_id", None), ("tweet_id", True), ("tweet_id", 1.5), ("user_id", [1]), ("user_id", {"id": 1})],
+    ids=["tweet-id-null", "tweet-id-true", "tweet-id-float", "user-id-list", "user-id-object"],
+)
+def test_a_tweet_record_with_an_id_that_is_no_string_or_integer_is_rejected(tmp_path, field, value):
+    """Nothing is stringified: null is no tweet 'None', nor [1] a user '[1]'."""
+    path = tmp_path / "tweets.jsonl"
+    good = {"tweet_id": "t1", "user_id": "u", "text": "x", "label": 0}
+    path.write_text("\n".join(json.dumps(r) for r in (good, {**good, "tweet_id": "t2", field: value})) + "\n")
+    problem = f"{field} must be a string or an integer, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: bad tweet record: {re.escape(problem)}$"):
+        load_tweets(path)
+
+
 def test_numeric_tweet_and_user_ids_load_as_their_text(tmp_path):
     path = tmp_path / "tweets.jsonl"
     path.write_text('{"tweet_id": 17, "user_id": 4, "text": "x", "label": 1}\n')

@@ -342,6 +342,12 @@ def test_graph_from_dict_names_an_edge_user_that_is_not_a_node():
         graph_from_dict({"nodes": ["a", "b"], "edges": [["a", "b"], ["a", "ghost"]]})
 
 
+def test_graph_from_dict_rejects_a_repeated_node_name():
+    """A repeated name would map to its last row and leave the first row without a name."""
+    with pytest.raises(ValueError, match="^node names must be distinct, got 3 names for 2 users$"):
+        graph_from_dict({"nodes": ["a", "b", "a"], "edges": [["a", "b"]], "features": [[0.0], [1.0], [2.0]]})
+
+
 @pytest.mark.parametrize("edges", [[["a", "b", "a"]], [["a"]], [["a", "b"], ["b", "a", "b"], ["a"]]])
 def test_graph_from_dict_rejects_an_edge_that_is_not_a_pair(edges):
     with pytest.raises(ValueError, match="every edge must be a"):

@@ -16,7 +16,7 @@ from offgraph.losses import focal_loss_tensor
 from offgraph.model import ABLATIONS, DetectionModel
 from offgraph.synthetic import generate_corpus
 from offgraph.tensor import concat, dropout, dropout_scale, gather_rows, no_grad, reshape
-from offgraph.training import TrainConfig
+from offgraph.training import ConfigError, TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +35,7 @@ def _config(**kw):
         d_ff=24, max_len=24, fusion_heads=2,
     )
     base.update(kw)
-    return TrainConfig(**base).validate()
+    return TrainConfig(**base)
 
 
 def _model(setting, **kw):
@@ -44,10 +44,10 @@ def _model(setting, **kw):
     return DetectionModel(cfg, len(vocab), 2, np.random.default_rng(0)), graph
 
 
-def test_unknown_ablation_rejected(setting):
-    _, vocab, _, _ = setting
-    with pytest.raises(ValueError, match="ablation"):
-        DetectionModel(TrainConfig(ablation="nope"), len(vocab), 2, np.random.default_rng(0))
+def test_unknown_ablation_rejected():
+    with pytest.raises(ConfigError, match="unknown ablation 'nope'") as info:
+        TrainConfig(ablation="nope")  # so no model can be built with it
+    assert info.value.keys == ("ablation",)
 
 
 @pytest.mark.parametrize("ablation", ABLATIONS)
@@ -63,23 +63,23 @@ def test_a_model_built_without_a_generator_is_the_zero_layout(setting, ablation)
         assert tensor.requires_grad and np.all(tensor.data == want), name
 
 
-# The model holds no head-count rules of its own: this fails if DetectionModel
-# stops validating its config and builds a model whose heads do not divide.
+# The model holds no head-count rules of its own: every head count the config
+# accepts must build a model that scores, and the rest must not make a config.
 @pytest.mark.parametrize("ablation", ABLATIONS)
-def test_validate_rejects_exactly_the_head_counts_the_model_rejects(ablation):
+def test_validate_rejects_exactly_the_head_counts_the_model_rejects(setting, ablation):
+    _, vocab, graph, seqs = setting
     for encoder_heads, gat_heads in ((4, 4), (5, 4), (4, 5), (5, 5)):
-        cfg = TrainConfig(
-            gat_hidden=12, gat_heads=gat_heads, d_model=12, encoder_layers=1, encoder_heads=encoder_heads,
-            d_ff=8, max_len=8, fusion_heads=2, ablation=ablation,
-        )
-        outcomes = []
-        for check in (cfg.validate, lambda: DetectionModel(cfg, 10, 2, np.random.default_rng(0))):
-            try:
-                check()
-                outcomes.append("accepted")
-            except ValueError:
-                outcomes.append("rejected")
-        assert outcomes[0] == outcomes[1], (encoder_heads, gat_heads)
+        try:
+            cfg = TrainConfig(
+                gat_hidden=12, gat_heads=gat_heads, d_model=12, encoder_layers=1, encoder_heads=encoder_heads,
+                d_ff=8, max_len=24, fusion_heads=2, ablation=ablation,
+            )
+        except ConfigError as exc:
+            assert "heads" in exc.keys[0], (encoder_heads, gat_heads)
+            continue
+        model = DetectionModel(cfg, len(vocab), 2, np.random.default_rng(0))
+        scores = model.predict(seqs, graph)
+        assert scores.shape == (len(seqs),) and np.all(np.isfinite(scores)), (encoder_heads, gat_heads)
 
 
 _GAT_HEADS = ["gat.head0.proj", "gat.head0.attn", "gat.head1.proj", "gat.head1.attn"]
@@ -378,7 +378,7 @@ def test_predict_chunks_by_batch_size(setting):
     _, _, graph, seqs = setting
     model, _ = _model(setting)
     whole = model.predict(seqs, graph)
-    model.config.batch_size = 4  # two chunks: 4 tweets, then 2
+    model.config = replace(model.config, batch_size=4)  # two chunks: 4 tweets, then 2
     assert np.max(np.abs(model.predict(seqs, graph) - whole)) <= 1e-12
 
 

@@ -4,7 +4,7 @@ import base64
 import json
 import re
 import weakref
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -48,7 +48,7 @@ def _tiny_config(**kw):
         d_ff=12, max_len=16, fusion_heads=2, seed=3,
     )
     base.update(kw)
-    return TrainConfig(**base).validate()
+    return TrainConfig(**base)
 
 
 @pytest.fixture(scope="module")
@@ -68,38 +68,65 @@ def test_config_defaults_match_protocol():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        TrainConfig(early_stop_patience=30).validate()
+        TrainConfig(early_stop_patience=30)
     with pytest.raises(ValueError):
-        TrainConfig(train_fraction=1.5).validate()
+        TrainConfig(train_fraction=1.5)
     with pytest.raises(ValueError):
-        TrainConfig(ablation="bogus").validate()
+        TrainConfig(ablation="bogus")
     with pytest.raises(ValueError, match=r"pooling 'max'.*'mean', 'cls'"):
-        TrainConfig(pooling="max").validate()
+        TrainConfig(pooling="max")
     with pytest.raises(ValueError, match=r"graph_variant 'dense'.*'soft', 'hard', 'bow'"):
-        TrainConfig(graph_variant="dense").validate()
+        TrainConfig(graph_variant="dense")
     with pytest.raises(ValueError, match=r"init_strategy 'zeros'.*'all0', 'all1', 'avg', 'nonoff'"):
-        TrainConfig(init_strategy="zeros").validate()
+        TrainConfig(init_strategy="zeros")
     with pytest.raises(ValueError, match=r"attention_dropout must be in \[0, 1\), got 1.0"):
-        TrainConfig(attention_dropout=1.0).validate()
+        TrainConfig(attention_dropout=1.0)
     with pytest.raises(ValueError, match=r"hidden_dropout must be in \[0, 1\), got -0.1"):
-        TrainConfig(hidden_dropout=-0.1).validate()
+        TrainConfig(hidden_dropout=-0.1)
     with pytest.raises(ValueError, match="fusion_heads 3 must divide d_model 64"):
-        TrainConfig(fusion_heads=3).validate()
+        TrainConfig(fusion_heads=3)
     with pytest.raises(ValueError, match="encoder_heads 3 must divide d_model 64"):
-        TrainConfig(encoder_heads=3).validate()
+        TrainConfig(encoder_heads=3)
     with pytest.raises(ValueError, match="gat_heads 3 must divide gat_hidden 64"):
-        TrainConfig(gat_heads=3).validate()
+        TrainConfig(gat_heads=3)
     for key, value, kind in [
         ("symmetric_neighbors", "false", "bool"), ("stratify_split", 1, "bool"),
         ("batch_size", "64", "int"), ("max_epochs", 20.0, "int"), ("seed", True, "int"),
         ("lr_gat", "0.01", "float"), ("focal_gamma", False, "float"), ("pooling", None, "str"),
     ]:
         with pytest.raises(ConfigError, match=re.escape(f"{key} must be of type {kind}, got {value!r}")) as info:
-            TrainConfig(**{key: value}).validate()
+            TrainConfig(**{key: value})
         assert info.value.keys == (key,)
-    TrainConfig(lr_gat=1, focal_gamma=np.float64(2.0), seed=np.int64(3)).validate()  # ints and numpy scalars pass
-    TrainConfig(attention_dropout=0.0, hidden_dropout=0.0).validate()
-    TrainConfig(gat_heads=3, ablation="single_head_gat").validate()  # one head takes all of gat_hidden
+    TrainConfig(lr_gat=1, focal_gamma=np.float64(2.0), seed=np.int64(3))  # ints and numpy scalars pass
+    TrainConfig(attention_dropout=0.0, hidden_dropout=0.0)
+    TrainConfig(gat_heads=3, ablation="single_head_gat")  # one head takes all of gat_hidden
+    for key, value, message in [
+        ("lr_gat", float("nan"), "lr_gat must be finite, got nan"),
+        ("lr_rest", float("inf"), "lr_rest must be finite, got inf"),
+        ("focal_gamma", float("inf"), "focal_gamma must be finite, got inf"),
+        ("focal_gamma", float("nan"), "focal_gamma must be finite, got nan"),
+    ]:
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$") as info:
+            TrainConfig(**{key: value})
+        assert info.value.keys == (key,)
+
+
+def test_a_built_config_never_changes_and_every_replacement_is_checked():
+    cfg = TrainConfig()
+    with pytest.raises(FrozenInstanceError):
+        cfg.batch_size = 4
+    with pytest.raises(ConfigError, match="gat_heads 3 must divide gat_hidden 64") as info:
+        replace(cfg, gat_heads=3)
+    assert info.value.keys == ("gat_heads", "gat_hidden", "ablation")
+    assert cfg == TrainConfig()
+
+
+def test_run_grid_rejects_a_bad_override_before_the_first_fit(monkeypatch, corpus):
+    fits = []
+    monkeypatch.setattr(training, "train", lambda config, corpus: fits.append(config))
+    with pytest.raises(ConfigError, match="lr_gat must be positive"):
+        run_grid(_tiny_config(), corpus, [{"seed": 1}, {"seed": 2}, {"lr_gat": 0.0}])
+    assert fits == []
 
 
 def test_config_file_roundtrip(tmp_path):
@@ -131,7 +158,7 @@ def _configs(draw):
         max_len=draw(size), fusion_heads=fusion_heads, attention_dropout=draw(dropout),
         hidden_dropout=draw(dropout), pooling=draw(st.sampled_from(POOLINGS)),
         vocab_min_freq=draw(size), vocab_max_size=draw(size),
-    ).validate()
+    )
 
 
 @settings(max_examples=50)
@@ -181,6 +208,8 @@ def test_config_file_names_the_line_of_a_bad_number(tmp_path):
         ("seed = 1\nd_model = 30\n", 2, "fusion_heads 4 must divide d_model 30"),
         ("max_epochs = 3\nearly_stop_patience = 4\n", 2, "early_stop_patience cannot exceed max_epochs"),
         ("focal_alpha = 0.5\nfocal_gamma = -1\n", 2, "focal_gamma must be non-negative"),
+        ("focal_alpha = 0.5\nfocal_gamma = inf\n", 2, "focal_gamma must be finite, got inf"),
+        ("# rates\nlr_rest = 0.01\nlr_gat = nan\n", 3, "lr_gat must be finite, got nan"),
     ],
 )
 def test_config_file_names_the_line_of_a_rejected_value(tmp_path, text, line, message):
@@ -603,6 +632,7 @@ def test_checkpoint_is_json_with_shapes(tmp_path, corpus):
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {key} must be of type"):
             load_checkpoint(path)
     no_nodes = {k: v for k, v in payload["graph"].items() if k != "nodes"}
+    nodes, features = payload["graph"]["nodes"], payload["graph"]["features"]
     malformed = (  # each must surface as a ValueError naming the file, never a TypeError from deep inside
         ("config", ["seed"], "the checkpoint config is not an object"),
         ("graph", no_nodes, "the checkpoint graph has no 'nodes' key"),
@@ -618,6 +648,8 @@ def test_checkpoint_is_json_with_shapes(tmp_path, corpus):
         ("graph", {**payload["graph"], "nodes": 5}, "the checkpoint graph is malformed ("),
         ("graph", {**payload["graph"], "features": payload["graph"]["features"][:3]}, "the checkpoint graph is malformed ("),
         ("graph", {**payload["graph"], "features": 3}, "the checkpoint graph is malformed ("),
+        ("graph", {**payload["graph"], "nodes": [*nodes, nodes[0]], "features": [*features, features[0]]},
+         f"the checkpoint graph is malformed (node names must be distinct, got {len(nodes) + 1} names for {len(nodes)} users)"),
         ("graph", {**payload["graph"], "edges": [[payload["graph"]["nodes"][0], "ghost"]]},
          "the checkpoint graph is malformed (an edge names user 'ghost', who is not a node of the graph)"),
         ("params", {**payload["params"], name: {**entry, "shape": "x"}},
