@@ -40,9 +40,9 @@ print(f"sample std {table.data.std():.5f} vs sqrt(2/1536) = {np.sqrt(2/1536):.5f
 
 print("\n== Adam on a 1-D quadratic ==")
 p = Tensor([-4.0], requires_grad=True)
-opt = Adam([p], learning_rate=0.1)
+opt = Adam([([p], 0.1)])  # one (parameters, learning rate) pair per group
 for step in range(200):
-    p.grad = 2.0 * (p.data - 3.0)  # d/dp (p - 3)^2
+    p.grad = 2.0 * (p.data - 3.0)  # d/dp (p - 3)^2; step() sets it back to None
     opt.step()
     if step % 50 == 0:
         print(f"step {step:3d}  p = {p.data[0]: .4f}  loss = {(p.data[0] - 3)**2:.6f}")

@@ -168,7 +168,7 @@ def build_graph(corpus: Corpus) -> SocialGraph:
 
 def init_unknown_features(strategy: str, train_stats: tuple[float, float] | None = None) -> np.ndarray:
     """Soft-feature vector for a user with no training tweets."""
-    _check_init_strategy(strategy)
+    _check_known("init strategy", strategy, INIT_STRATEGIES)
     if strategy == "all0":
         return np.array([0.0, 0.0])
     if strategy == "all1":
@@ -180,9 +180,9 @@ def init_unknown_features(strategy: str, train_stats: tuple[float, float] | None
     return np.array([float(train_stats[0]), float(train_stats[1])])
 
 
-def _check_init_strategy(strategy: str) -> None:
-    if strategy not in INIT_STRATEGIES:
-        raise ValueError(f"unknown init strategy {strategy!r}; expected one of {INIT_STRATEGIES}")
+def _check_known(what: str, value, known: tuple) -> None:
+    if value not in known:
+        raise ValueError(f"unknown {what} {value!r}; expected one of {known}")
 
 
 def with_node_features(
@@ -197,9 +197,8 @@ def with_node_features(
     Every training tweet's author must be a node; the first one that is not
     raises a ``ValueError`` naming it.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown graph variant {variant!r}; expected one of {VARIANTS}")
-    _check_init_strategy(init_strategy)  # every variant records it, not only soft
+    _check_known("graph variant", variant, VARIANTS)
+    _check_known("init strategy", init_strategy, INIT_STRATEGIES)  # every variant records it, not only soft
     if variant == "bow" and vocab is None:
         raise ValueError("bow features need the vocabulary")
     rows = graph.node_ids([t.user_id for t in train_tweets])
@@ -240,15 +239,22 @@ def graph_to_dict(graph: SocialGraph) -> dict:
 
 
 def graph_from_dict(payload: dict) -> SocialGraph:
-    """Inverse of ``graph_to_dict``; the adjacency is rebuilt from the edge list."""
-    nodes = list(payload["nodes"])
-    features = payload.get("features")
+    """Inverse of ``graph_to_dict``; the adjacency is rebuilt from the edge list. A payload
+    of the wrong types, or with a variant or init strategy that is not known or "none", raises."""
+    nodes, edges, features = payload["nodes"], payload["edges"], payload.get("features")
+    variant, init_strategy = payload.get("variant", "none"), payload.get("init_strategy", "none")
+    if not isinstance(nodes, list) or not all(isinstance(u, str) for u in nodes):
+        raise ValueError("the nodes must be a list of strings")
+    if not isinstance(edges, list) or not all(isinstance(e, list) and list(map(type, e)) == [str, str] for e in edges):
+        raise ValueError("every edge must be a [follower, followee] list of two strings")
+    _check_known("graph variant", variant, (*VARIANTS, "none"))
+    _check_known("init strategy", init_strategy, (*INIT_STRATEGIES, "none"))
     return SocialGraph(
         nodes=nodes,
-        arcs=_arcs(nodes, payload["edges"]),
+        arcs=_arcs(nodes, edges),
         features=None if features is None else np.asarray(features, dtype=np.float64),
-        variant=payload.get("variant", "none"),
-        init_strategy=payload.get("init_strategy", "none"),
+        variant=variant,
+        init_strategy=init_strategy,
     )
 
 

@@ -124,11 +124,19 @@ class DetectionModel:
         ``authors`` holds each tweet's author row, [B, output_dim], from
         ``user_embeddings(graph, graph.node_ids(...))``. ``authors=None`` skips
         the author rows entirely, which reproduces the text-only ablation from
-        the full model's parameters (the structural-equivalence escape hatch).
+        the full model's parameters (the structural-equivalence escape hatch);
+        the ``no_encoder`` and ``no_attention_layer`` models need the rows,
+        and a model without a graph side takes none.
         ``rng`` turns dropout on, at the config's rates.
         """
         if not seqs:
             raise ValueError("forward_batch needs at least one tweet")
+        if self.gat is None and authors is not None:
+            raise ValueError("a model without a graph side takes no author rows")
+        if authors is None and self.config.ablation == "no_attention_layer":  # its feed-forward layer reads both
+            raise ValueError("the no_attention_layer model needs author rows")
+        if authors is not None and authors.shape != (len(seqs), self.gat.output_dim):
+            raise ValueError(f"author rows must be [{len(seqs)}, {self.gat.output_dim}], got {list(authors.shape)}")
         tokens = author = None
         lengths = np.zeros(len(seqs), dtype=np.int64)  # token rows per tweet
         if self.encoder is not None:

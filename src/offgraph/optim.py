@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import fields
 
 import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["xavier_normal_init", "ones_init", "zeros_init", "named_tensors", "Adam", "zero_grads"]
+__all__ = ["xavier_normal_init", "ones_init", "zeros_init", "named_tensors", "Adam"]
 
 
 def xavier_normal_init(fan_in: int, fan_out: int, rng: np.random.Generator | None) -> Tensor:
@@ -49,20 +50,20 @@ EPSILON = 1e-8
 
 
 class Adam:
-    """Adam bound to a fixed parameter list, for use as one learning-rate group.
+    """Adam over ``(parameters, learning_rate)`` groups that step together: it owns each
+    parameter's first and second moments and the one step count; every update is elementwise."""
 
-    Owns the per-parameter first and second moments and the shared step count.
-    """
-
-    def __init__(self, params: list[Tensor], learning_rate: float):
-        self.params = list(params)
-        self.learning_rate = learning_rate
+    def __init__(self, groups: Iterable[tuple[list[Tensor], float]]):
+        pairs = [(p, rate) for params, rate in groups for p in params]
+        self.params = [p for p, _ in pairs]
+        self.learning_rates = [rate for _, rate in pairs]
         self.first_moment = [np.zeros_like(p.data) for p in self.params]
         self.second_moment = [np.zeros_like(p.data) for p in self.params]
         self.step_count = 0
 
     def step(self) -> None:
-        """One bias-corrected adaptive-moment update from each ``.grad``, in place."""
+        """One bias-corrected adaptive-moment update from each ``.grad``, in place; then
+        every ``.grad`` is ``None``, so a second step needs a fresh ``backward()``."""
         grads = [p.grad for p in self.params]
         for p, g in zip(self.params, grads):
             if g is None or p.shape != g.shape:
@@ -70,12 +71,8 @@ class Adam:
         self.step_count += 1
         bc1 = 1.0 - BETA1 ** self.step_count
         bc2 = 1.0 - BETA2 ** self.step_count
-        for p, g, m, v in zip(self.params, grads, self.first_moment, self.second_moment):
+        for p, g, rate, m, v in zip(self.params, grads, self.learning_rates, self.first_moment, self.second_moment):
             m[...] = BETA1 * m + (1.0 - BETA1) * g
             v[...] = BETA2 * v + (1.0 - BETA2) * (g * g)
-            p.data -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + EPSILON)
-
-
-def zero_grads(params) -> None:
-    for p in params:
-        p.grad = None
+            p.data -= rate * (m / bc1) / (np.sqrt(v / bc2) + EPSILON)
+            p.grad = None

@@ -56,7 +56,11 @@ _EMOJI_RANGES = (
     (0x2600, 0x27BF),
     (0x2B00, 0x2BFF),
 )
-_EMOJI_CHAR = re.compile("[" + "".join(f"{chr(lo)}-{chr(hi)}" for lo, hi in _EMOJI_RANGES) + "]")
+_EMOJI = "[" + "".join(f"{chr(lo)}-{chr(hi)}" for lo, hi in _EMOJI_RANGES) + "]"
+_MODIFIER = "[" + _VS16 + "".join(sorted(_SKIN_TONES)) + "]"
+# An emoji and its modifiers, then any zero-width-joined emoji with theirs.
+_CLUSTER = re.compile(f"{_EMOJI}{_MODIFIER}*(?:{_ZWJ}{_EMOJI}{_MODIFIER}*)*")
+_MODIFIERS = re.compile(_MODIFIER)
 
 
 class EmojiTable:
@@ -91,10 +95,7 @@ class EmojiTable:
             return cls.from_tsv(path)
 
     def lookup(self, cluster: str) -> str | None:
-        if cluster in self.mapping:
-            return self.mapping[cluster]
-        stripped = "".join(c for c in cluster if c != _VS16 and c not in _SKIN_TONES)
-        return self.mapping.get(stripped)
+        return self.mapping.get(cluster) or self.mapping.get(_MODIFIERS.sub("", cluster))
 
 
 _URL = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*://\S+|\bt\.co/\S+")
@@ -154,29 +155,18 @@ def replace_emojis(text: str, table: EmojiTable | None = None) -> str:
     """
     if table is None:
         table = EmojiTable.default()
-    out: list[str] = []
-    i = 0
-    n = len(text)
-    while (match := _EMOJI_CHAR.search(text, i)) is not None:
-        start = match.start()
-        if start > i:
-            out.append(text[i:start])
-        j = start + 1
-        while j < n and (text[j] == _VS16 or text[j] in _SKIN_TONES):
-            j += 1
-        while j < n and text[j] == _ZWJ and _EMOJI_CHAR.match(text, j + 1):
-            j += 2
-            while j < n and (text[j] == _VS16 or text[j] in _SKIN_TONES):
-                j += 1
-        phrase = table.lookup(text[start:j]) or "<emoji>"
-        if out and not out[-1][-1].isspace():
-            out.append(" ")
-        out.append(phrase)
-        if j < n and not text[j].isspace():
-            out.append(" ")
-        i = j
-    out.append(text[i:])
-    return "".join(out)
+    previous_end = -1
+
+    def phrase(match: re.Match) -> str:
+        nonlocal previous_end
+        start, end = match.span()
+        # right after the previous cluster, whose phrase already ends in a space
+        before = "" if start in (0, previous_end) or text[start - 1].isspace() else " "
+        after = "" if end == len(text) or text[end].isspace() else " "
+        previous_end = end
+        return before + (table.lookup(match.group()) or "<emoji>") + after
+
+    return _CLUSTER.sub(phrase, text)
 
 
 def preprocess_text(text: str, table: EmojiTable | None = None) -> str:

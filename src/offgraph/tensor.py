@@ -29,7 +29,7 @@ Conventions:
     leaves only, the tensors no op produced (parameters and inputs);
     intermediate gradients are dropped as soon as they have been passed on.
     It leaves the tape in place, so a second call accumulates once more.
-    The caller zeroes grads between steps (``optim.zero_grads``).
+    ``optim.Adam.step`` sets each gradient it applies back to ``None``.
     A backward closure may return ``None`` for a parent that does not
     require grad; the three products do, so a constant operand costs no
     gradient product,
@@ -132,8 +132,8 @@ class Tensor:
     def backward(self) -> None:
         """Populate ``.grad`` for every requires-grad leaf reachable from here.
 
-        The loss must be a single element. Repeated calls without zeroing
-        accumulate one more analytic pass each time. Leaves' deferred gradients
+        The loss must be a single element. Repeated calls accumulate one more
+        analytic pass each time. Leaves' deferred gradients
         run on ``helper_pool()``'s threads, joined before this returns; a
         failure there is raised here, and then no ``.grad`` changes.
         """

@@ -2,8 +2,8 @@
 
 One run: preprocess, split 7:3 by tweets, build the vocabulary from the
 training side only, mask the social graph, then jointly optimize the graph
-attention, encoder, and fusion parameters with two Adam groups (the graph
-attention layer at its own learning rate, everything else at the base rate).
+attention, encoder, and fusion parameters with one Adam over two groups (the
+graph attention layer at its own learning rate, everything else at the base rate).
 Test macro-F1 is tracked per epoch; training stops early once it fails to
 improve for ``early_stop_patience`` consecutive epochs, and the best epoch's
 metrics and parameters are what a run reports.
@@ -40,7 +40,7 @@ from .graph import (
 from .losses import FocalParams, focal_loss_tensor
 from .metrics import MetricsReport, metrics_report
 from .model import ABLATIONS, DetectionModel
-from .optim import Adam, zero_grads
+from .optim import Adam
 from .outfile import numbered_lines, write_chunks
 
 __all__ = [
@@ -165,7 +165,7 @@ _NUMBERS = {"int": int, "float": float}
 
 
 def parse_config_file(path) -> TrainConfig:
-    """Read a flat ``key = value`` file whose keys are TrainConfig fields."""
+    """Read a flat ``key = value`` file whose keys are TrainConfig fields, each set at most once."""
     types = {f.name: f.type for f in fields(TrainConfig)}  # type names: annotations are postponed
     values: dict = {}
     lines: dict[str, int] = {}
@@ -178,6 +178,8 @@ def parse_config_file(path) -> TrainConfig:
         key, raw = (part.strip() for part in line.split("=", 1))
         if key not in types:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in lines:
+            raise ValueError(f"{path}:{lineno}: config key {key!r} set again (first on line {lines[key]})")
         kind, lines[key] = types[key], lineno
         if kind == "bool":
             if raw.lower() not in _BOOLS:
@@ -291,9 +293,7 @@ def fit(config: TrainConfig, corpus: Corpus) -> TrainedRun:
     train_seqs, test_seqs = ([encode(t, vocab, config.max_len) for t in side] for side in (split.train, split.test))
     focal = FocalParams(config.focal_alpha, config.focal_gamma)
 
-    gat_group, rest_group = model.parameter_groups()
-    optimizers = [Adam(g, lr) for g, lr in ((gat_group, config.lr_gat), (rest_group, config.lr_rest)) if g]
-    all_params = gat_group + rest_group
+    optimizer = Adam(zip(model.parameter_groups(), (config.lr_gat, config.lr_rest)))
 
     shuffle_rng = _stream(config.seed, 2)
     dropout_rng = _stream(config.seed, 3)
@@ -317,9 +317,7 @@ def fit(config: TrainConfig, corpus: Corpus) -> TrainedRun:
                 raise TrainingDiverged(f"non-finite loss {value} at epoch {epoch}")
             loss.backward()
             del authors, probs, loss  # frees this step's tape before the next forward builds its own
-            for opt in optimizers:
-                opt.step()
-            zero_grads(all_params)  # no step's gradients outlive it, so the returned model holds none
+            optimizer.step()  # clears the gradients, so the returned model holds none
             epoch_losses.append(value)
         losses.append(float(np.mean(epoch_losses)))
 

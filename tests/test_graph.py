@@ -1,6 +1,7 @@
 """Social graph construction, behavior features, and test-information masking."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -346,6 +347,29 @@ def test_graph_from_dict_rejects_a_repeated_node_name():
     """A repeated name would map to its last row and leave the first row without a name."""
     with pytest.raises(ValueError, match="^node names must be distinct, got 3 names for 2 users$"):
         graph_from_dict({"nodes": ["a", "b", "a"], "edges": [["a", "b"]], "features": [[0.0], [1.0], [2.0]]})
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"nodes": "abc"}, "the nodes must be a list of strings"),
+        ({"nodes": [1, None, 2.5], "edges": []}, "the nodes must be a list of strings"),
+        ({"nodes": ("a", "b", "c")}, "the nodes must be a list of strings"),
+        ({"edges": ["ab"]}, "every edge must be a [follower, followee] list of two strings"),
+        ({"edges": [("a", "b")]}, "every edge must be a [follower, followee] list of two strings"),
+        ({"edges": [["a", 1]]}, "every edge must be a [follower, followee] list of two strings"),
+        ({"edges": {"a": "b"}}, "every edge must be a [follower, followee] list of two strings"),
+        ({"variant": "dense"}, "unknown graph variant 'dense'; expected one of ('soft', 'hard', 'bow', 'none')"),
+        ({"variant": None}, "unknown graph variant None; expected one of ('soft', 'hard', 'bow', 'none')"),
+        ({"init_strategy": 3}, "unknown init strategy 3; expected one of ('all0', 'all1', 'avg', 'nonoff', 'none')"),
+    ],
+)
+def test_graph_from_dict_rejects_a_payload_of_the_wrong_types(change, message):
+    """Each of these loaded before: a string of node names read as one name per character, and
+    an edge "ab" as the arc a -> b."""
+    payload = {"nodes": ["a", "b", "c"], "edges": [["a", "b"]], "variant": "soft", "init_strategy": "nonoff"}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        graph_from_dict({**payload, **change})
 
 
 @pytest.mark.parametrize("edges", [[["a", "b", "a"]], [["a"]], [["a", "b"], ["b", "a", "b"], ["a"]]])

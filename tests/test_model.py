@@ -1,5 +1,6 @@
 """Composed model: ablation wiring, parameter groups, predictions."""
 
+import re
 import sys
 import threading
 from dataclasses import replace
@@ -194,6 +195,27 @@ def test_no_gat_structurally_equals_full_without_user_rows(setting):
     want = nog.predict(seqs[:3], graph)
     got = full.forward_batch(seqs[:3], None).data
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "ablation, shape, message",
+    [
+        ("no_gat", (2, 20), "a model without a graph side takes no author rows"),
+        ("no_attention_layer", None, "the no_attention_layer model needs author rows"),
+        ("full", (3, 20), "author rows must be [2, 20], got [3, 20]"),
+        ("full", (2, 16), "author rows must be [2, 20], got [2, 16]"),
+        ("no_gat_residual", (2, 20), "author rows must be [2, 16], got [2, 20]"),
+        ("full", (40,), "author rows must be [2, 20], got [40]"),
+    ],
+)
+def test_forward_batch_rejects_author_rows_it_cannot_use(setting, ablation, shape, message):
+    """Each of these crashed deep inside the forward pass (on the missing GAT, in the feed-forward
+    layer's product, in a reshape), except the last, which reshaped silently into the wrong rows."""
+    _, _, _, seqs = setting
+    model, _ = _model(setting, ablation=ablation)
+    authors = None if shape is None else tensor.Tensor(np.zeros(shape))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        model.forward_batch(seqs[:2], authors)
 
 
 def test_state_roundtrip_and_validation(setting):

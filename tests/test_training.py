@@ -210,6 +210,7 @@ def test_config_file_names_the_line_of_a_bad_number(tmp_path):
         ("focal_alpha = 0.5\nfocal_gamma = -1\n", 2, "focal_gamma must be non-negative"),
         ("focal_alpha = 0.5\nfocal_gamma = inf\n", 2, "focal_gamma must be finite, got inf"),
         ("# rates\nlr_rest = 0.01\nlr_gat = nan\n", 3, "lr_gat must be finite, got nan"),
+        ("seed = 3\nbatch_size = 8\nseed = 9\n", 3, "config key 'seed' set again (first on line 1)"),
     ],
 )
 def test_config_file_names_the_line_of_a_rejected_value(tmp_path, text, line, message):
@@ -633,6 +634,7 @@ def test_checkpoint_is_json_with_shapes(tmp_path, corpus):
             load_checkpoint(path)
     no_nodes = {k: v for k, v in payload["graph"].items() if k != "nodes"}
     nodes, features = payload["graph"]["nodes"], payload["graph"]["features"]
+    letters = [chr(0x4E00 + i) for i in range(len(nodes))]  # one-character names, so "ab" could read as a pair
     malformed = (  # each must surface as a ValueError naming the file, never a TypeError from deep inside
         ("config", ["seed"], "the checkpoint config is not an object"),
         ("graph", no_nodes, "the checkpoint graph has no 'nodes' key"),
@@ -652,6 +654,19 @@ def test_checkpoint_is_json_with_shapes(tmp_path, corpus):
          f"the checkpoint graph is malformed (node names must be distinct, got {len(nodes) + 1} names for {len(nodes)} users)"),
         ("graph", {**payload["graph"], "edges": [[payload["graph"]["nodes"][0], "ghost"]]},
          "the checkpoint graph is malformed (an edge names user 'ghost', who is not a node of the graph)"),
+        ("graph", {**payload["graph"], "nodes": list(range(len(nodes))), "edges": []},
+         "the checkpoint graph is malformed (the nodes must be a list of strings)"),
+        ("graph", {**payload["graph"], "nodes": "".join(letters), "edges": []},
+         "the checkpoint graph is malformed (the nodes must be a list of strings)"),
+        ("graph", {**payload["graph"], "nodes": letters, "edges": [letters[0] + letters[1]]},
+         "the checkpoint graph is malformed (every edge must be a [follower, followee] list of two strings)"),
+        ("graph", {**payload["graph"], "edges": [[nodes[0], 5]]},
+         "the checkpoint graph is malformed (every edge must be a [follower, followee] list of two strings)"),
+        ("graph", {**payload["graph"], "variant": "dense"},
+         "the checkpoint graph is malformed (unknown graph variant 'dense'; expected one of ('soft', 'hard', 'bow', 'none'))"),
+        ("graph", {**payload["graph"], "init_strategy": None},
+         "the checkpoint graph is malformed (unknown init strategy None; "
+         "expected one of ('all0', 'all1', 'avg', 'nonoff', 'none'))"),
         ("params", {**payload["params"], name: {**entry, "shape": "x"}},
          f"checkpoint parameter '{name}' has a malformed shape or data ("),
         *(

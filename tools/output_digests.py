@@ -27,7 +27,8 @@ early_stop_patience = 2``). Covered outputs:
   * ``preprocess`` of both tweet files.
 
 The first stderr line names the imported package, so a listing cannot come
-from the wrong checkout unnoticed, and the BLAS thread count and scoring worker
+from the wrong checkout unnoticed, its line count (the ``*.py`` files of the
+package, as ``wc -l`` counts them), and the BLAS thread count and scoring worker
 count it ran at (``None`` where the BLAS count cannot be read). Make both
 listings on one machine with the same BLAS thread count (say
 ``OPENBLAS_NUM_THREADS=1``): training sums differ in their last bits across
@@ -127,8 +128,10 @@ def produce(work: Path) -> list[Path]:
 
 
 def main() -> int:
+    package = Path(offgraph.__file__).resolve().parent
+    lines = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in package.glob("*.py"))
     print(
-        f"offgraph from {Path(offgraph.__file__).resolve().parent}, "
+        f"offgraph from {package} ({lines} lines of *.py), "
         f"BLAS threads {resources.blas_threads()}, scoring workers {resources.scoring_workers()}",
         file=sys.stderr,
     )
