@@ -180,8 +180,9 @@ class DetectionModel:
         scored tweet's author is embedded once, from the authors'
         neighbourhoods. Each chunk is a ``resources.Job`` on ``helper_pool()``,
         run by its threads and this one in length order, ``scoring_workers()``
-        at once. The chunks and their arithmetic, so every score, are the same
-        at any worker count, and the first failing chunk in length order raises.
+        at once: one per core, at the one BLAS thread importing offgraph sets.
+        The chunks and their arithmetic, so every score, are the same at any
+        worker count, and the first failing chunk in length order raises.
         """
         if not seqs:
             return np.zeros(0)

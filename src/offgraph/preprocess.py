@@ -68,8 +68,8 @@ class EmojiTable:
 
     def __init__(self, mapping: dict[str, str]):
         for emoji, phrase in mapping.items():
-            if not phrase or not all(c.isalpha() or c == " " for c in phrase):
-                raise ValueError(f"emoji phrase must be letters and spaces: {phrase!r}")
+            if not phrase.replace(" ", "").isalpha():  # str.isalpha: letters only, at least one
+                raise ValueError(f"emoji phrase must be letters and spaces, at least one letter: {phrase!r}")
         self.mapping = dict(mapping)
 
     def __len__(self) -> int:
@@ -78,6 +78,7 @@ class EmojiTable:
     @classmethod
     def from_tsv(cls, path) -> "EmojiTable":
         mapping: dict[str, str] = {}
+        lines: dict[str, int] = {}  # the line each emoji is first listed on
         for lineno, line in numbered_lines(path):
             line = line.rstrip("\n")
             if not line:
@@ -85,7 +86,9 @@ class EmojiTable:
             if "\t" not in line:
                 raise ValueError(f"{path}:{lineno}: expected emoji<TAB>phrase")
             emoji, phrase = line.split("\t", 1)
-            mapping[emoji] = phrase
+            if emoji in lines:
+                raise ValueError(f"{path}:{lineno}: emoji {emoji!r} listed again (first on line {lines[emoji]})")
+            mapping[emoji], lines[emoji] = phrase, lineno
         return cls(mapping)
 
     @classmethod

@@ -1,7 +1,7 @@
-"""Process-wide resource settings: glibc's malloc policy, the worker count and the helper pool.
+"""Process-wide resource settings: glibc's malloc policy, OpenBLAS's thread count, the worker count and the helper pool.
 
 Each is a decision for the whole process, so it lives here once: no other
-offgraph module touches malloc or starts a thread.
+offgraph module touches malloc or OpenBLAS or starts a thread.
 
 **The malloc policy** (``apply_malloc_policy``; glibc ``mallopt(3)``, a no-op
 elsewhere) is set when this module is imported, which importing any part of
@@ -25,12 +25,16 @@ opt out, since no caller needs others:
     peak RSS from 88.8 MB (one thread) to 100-103 MB with a second arena,
     and to 88.9-89.9 MB with this cap (2-core box, one BLAS thread).
 
+**One BLAS thread** is set on import as well, through the ``set_num_threads``
+of the OpenBLAS numpy loaded, whatever ``OPENBLAS_NUM_THREADS`` says. A
+product's sums follow the BLAS thread count in their last bits, so the
+results no longer depend on the environment, and the cores go to the helper
+pool rather than to BLAS threads that would compete with it. Where no setter
+is found (another BLAS, or no ``/proc``), nothing is set.
+
 **The worker count** (``scoring_workers``) is the number of cores this
-process may run on (``os.sched_getaffinity``) divided by the threads
-OpenBLAS runs each product on, and at least 1: one BLAS thread on a 2-core
-box gives 2 workers; the default of one BLAS thread per core gives 1. The
-BLAS count is read from the OpenBLAS library numpy loaded, never set; where
-it cannot be read (another BLAS, or no ``/proc``) the count is 1.
+process may run on (``os.sched_getaffinity``) at one BLAS thread
+(``blas_threads``), else 1: BLAS's own threads may use the cores already.
 
 **The helper pool** (``helper_pool``) starts one thread per worker beyond
 the calling thread, all running jobs (``Job``) from one queue, so no more
@@ -57,13 +61,16 @@ import threading
 from collections.abc import Iterator
 from contextlib import contextmanager
 
+import numpy  # noqa: F401  loads the OpenBLAS that the lookups below find
+
 __all__ = ["Job", "apply_malloc_policy", "blas_threads", "drain", "helper_pool", "scoring_workers"]
 
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8  # mallopt parameters, malloc.h
 
-# OpenBLAS's thread-count getter under the names its builds export: the copy
-# numpy 2 wheels bundle, the one numpy 1 wheels bundle, a system library.
-_GET_NUM_THREADS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads")
+# The affixes of OpenBLAS's exports in the builds that ship it: the copy numpy 2
+# wheels bundle, the one numpy 1 wheels bundle, a system library.
+_OPENBLAS_AFFIXES = (("scipy_openblas_", "64_"), ("openblas_", "64_"), ("openblas_", ""))
+_OPENBLAS_SIGNATURES = {"get_num_threads": ((), ctypes.c_int), "set_num_threads": ((ctypes.c_int,), None)}
 
 
 def apply_malloc_policy() -> None:
@@ -78,8 +85,8 @@ def apply_malloc_policy() -> None:
 
 
 @functools.cache
-def _openblas_getter():
-    """The loaded OpenBLAS's ``get_num_threads``, found through the process's mappings; None without one."""
+def _openblas_function(name: str):
+    """The loaded OpenBLAS's ``name`` (``get_num_threads``, say), found through the process's mappings, or None."""
     try:
         with open("/proc/self/maps") as maps:
             fields = (line.split(maxsplit=5) for line in maps)
@@ -91,26 +98,23 @@ def _openblas_getter():
             lib = ctypes.CDLL(path)
         except OSError:  # the mapped file is gone, say replaced since it was loaded
             continue
-        for name in _GET_NUM_THREADS:
-            if hasattr(lib, name):
-                getter = getattr(lib, name)
-                getter.argtypes, getter.restype = (), ctypes.c_int
-                return getter
+        for prefix, suffix in _OPENBLAS_AFFIXES:
+            if hasattr(lib, prefix + name + suffix):
+                function = getattr(lib, prefix + name + suffix)
+                function.argtypes, function.restype = _OPENBLAS_SIGNATURES[name]
+                return function
     return None
 
 
 def blas_threads() -> int | None:
     """The threads OpenBLAS runs a product on now, or None where that cannot be read."""
-    getter = _openblas_getter()
+    getter = _openblas_function("get_num_threads")
     return None if getter is None else getter()
 
 
 def scoring_workers() -> int:
-    """Threads that may use the cores BLAS leaves idle, the caller's included: cores // BLAS threads, at least 1."""
-    threads = blas_threads()
-    if not threads:
-        return 1
-    return max(1, len(os.sched_getaffinity(0)) // threads)
+    """Threads that may run at once, the caller's included: one per core at one BLAS thread, else 1."""
+    return len(os.sched_getaffinity(0)) if blas_threads() == 1 else 1
 
 
 class Job:
@@ -175,3 +179,5 @@ def _run_until_none(lane: queue.SimpleQueue) -> None:
 
 
 apply_malloc_policy()
+if (_set_blas_threads := _openblas_function("set_num_threads")) is not None:
+    _set_blas_threads(1)

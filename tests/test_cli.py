@@ -258,6 +258,7 @@ _GOOD_LINE = {
     [
         ("preprocess", "--in", "tweets", "not UTF-8"),
         ("preprocess", "--emoji", "emoji", "not UTF-8"),
+        ("preprocess", "--emoji", "emoji", "duplicate emoji"),
         ("train", "--tweets", "tweets", "not UTF-8"),
         ("train", "--edges", "edges", "not UTF-8"),
         ("train", "--config", "config", "not UTF-8"),
@@ -274,7 +275,11 @@ def test_a_bad_input_file_is_named_in_the_error(workdir, tmp_path, capsys, comma
     }[command]
     args[flag] = bad
     assert main([command, *(str(part) for pair in args.items() for part in pair)]) == 1
-    want = f"{bad}:2: not UTF-8 text (byte 0xff)" if fault == "not UTF-8" else f"{bad}: duplicate tweet_id 'a'"
+    want = {
+        "not UTF-8": f"{bad}:2: not UTF-8 text (byte 0xff)",
+        "duplicate tweet": f"{bad}: duplicate tweet_id 'a'",
+        "duplicate emoji": f"{bad}:2: emoji '\U0001F600' listed again (first on line 1)",
+    }[fault]
     assert capsys.readouterr().err == f"error: {want}\n"
 
 

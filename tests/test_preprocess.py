@@ -189,8 +189,9 @@ def test_emoji_scan_matches_per_character_reference(text):
 
 
 def test_bad_phrase_rejected():
-    with pytest.raises(ValueError):
-        EmojiTable({"x": "has-hyphen"})
+    for phrase in ("has-hyphen", "", "  "):  # a phrase of spaces alone would delete its emoji
+        with pytest.raises(ValueError, match="letters and spaces"):
+            EmojiTable({"x": phrase})
 
 
 # -- full pipeline -----------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Process-wide resource settings: the malloc policy set on import, and the worker count."""
+"""Process-wide resource settings: the malloc policy and one BLAS thread set on import, and the worker count."""
 
 import json
 import os
@@ -14,8 +14,12 @@ SRC = str(Path(resources.__file__).resolve().parents[1])
 
 
 def _fresh_python(code: str, **env) -> str:
-    """What ``code`` prints when run by a new interpreter that imports this checkout's offgraph."""
+    """What ``code`` prints when run by a new interpreter that imports this checkout's offgraph.
+
+    ``env`` entries are set in its environment, or removed from it where the value is None.
+    """
     env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+    env = {name: value for name, value in env.items() if value is not None}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
     return done.stdout
 
@@ -39,9 +43,10 @@ print(json.dumps(calls))
 
 @pytest.mark.parametrize(
     "blas, cores, workers",
-    [(None, 2, 1), (None, 8, 1), (1, 2, 2), (2, 2, 1), (1, 4, 4), (2, 8, 4), (3, 8, 2), (4, 2, 1), (64, 1, 1)],
+    [(None, 2, 1), (None, 8, 1), (1, 2, 2), (2, 2, 1), (1, 4, 4), (2, 8, 1), (3, 8, 1), (4, 2, 1), (64, 1, 1)],
 )
 def test_scoring_workers_are_the_cores_blas_leaves_idle(monkeypatch, blas, cores, workers):
+    """One BLAS thread leaves every core to a worker; more, or a count that cannot be read, leave one."""
     monkeypatch.setattr(resources, "blas_threads", lambda: blas)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
     assert resources.scoring_workers() == workers
@@ -52,7 +57,7 @@ def test_the_blas_probe_finds_nothing_where_the_library_cannot_be_opened(monkeyp
         raise OSError(f"{path}: cannot open shared object file")
 
     monkeypatch.setattr(resources.ctypes, "CDLL", gone)
-    assert resources._openblas_getter.__wrapped__() is None  # the uncached lookup
+    assert resources._openblas_function.__wrapped__("get_num_threads") is None  # the uncached lookup
 
 
 def test_the_blas_probe_reads_the_thread_count_it_was_started_with():
@@ -61,3 +66,15 @@ def test_the_blas_probe_reads_the_thread_count_it_was_started_with():
     if out[0] == "None":
         pytest.skip("this numpy build loads no OpenBLAS that exports a get_num_threads symbol")
     assert out == ["1", str(len(os.sched_getaffinity(0)))]
+
+
+@pytest.mark.parametrize("environment", ["2", None], ids=["OPENBLAS_NUM_THREADS=2", "unset"])
+def test_importing_offgraph_sets_one_blas_thread(environment):
+    probe = """
+from offgraph import resources as r
+print(r._openblas_function("set_num_threads") is not None, r.blas_threads(), r.scoring_workers())
+"""
+    out = _fresh_python(probe, OPENBLAS_NUM_THREADS=environment).split()
+    if out[0] == "False":
+        pytest.skip("this numpy build loads no OpenBLAS that exports a set_num_threads symbol, so nothing is set")
+    assert out[1:] == ["1", str(len(os.sched_getaffinity(0)))]

@@ -29,10 +29,11 @@ early_stop_patience = 2``). Covered outputs:
 The first stderr line names the imported package, so a listing cannot come
 from the wrong checkout unnoticed, its line count (the ``*.py`` files of the
 package, as ``wc -l`` counts them), and the BLAS thread count and scoring worker
-count it ran at (``None`` where the BLAS count cannot be read). Make both
-listings on one machine with the same BLAS thread count (say
-``OPENBLAS_NUM_THREADS=1``): training sums differ in their last bits across
-thread counts, so checkpoints and results do too.
+count it ran at (``None`` where the BLAS count cannot be read). Importing
+``offgraph`` sets one BLAS thread, whatever ``OPENBLAS_NUM_THREADS`` says.
+Where it could not (a BLAS without the OpenBLAS setter), a second stderr line
+says so: training sums differ in their last bits across thread counts, so
+that listing depends on the BLAS thread count it ran at.
 """
 
 from __future__ import annotations
@@ -130,11 +131,14 @@ def produce(work: Path) -> list[Path]:
 def main() -> int:
     package = Path(offgraph.__file__).resolve().parent
     lines = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in package.glob("*.py"))
+    threads = resources.blas_threads()
     print(
         f"offgraph from {package} ({lines} lines of *.py), "
-        f"BLAS threads {resources.blas_threads()}, scoring workers {resources.scoring_workers()}",
+        f"BLAS threads {threads}, scoring workers {resources.scoring_workers()}",
         file=sys.stderr,
     )
+    if threads != 1:
+        print(f"offgraph could not set one BLAS thread: this listing depends on the count ({threads})", file=sys.stderr)
     with tempfile.TemporaryDirectory() as tmp:
         for path in produce(Path(tmp)):
             print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}", flush=True)
