@@ -143,7 +143,7 @@ def gat_forward(
     rows = reshape(projected, (n, len(projections), dim))  # the heads' rows, then the residual's
     z = rows[:, :heads]
     alpha = attention_coefficients(z, edge_src, edge_dst, concat(params.head_attn, axis=1), n)
-    keep = dropout_scale((heads, len(graph.edge_arrays(symmetric)[0])), attn_dropout, rng, np.s_[:, edges])
+    keep = dropout_scale((heads, graph.edge_count(symmetric)), attn_dropout, rng, np.s_[:, edges])
     if keep is not None:
         alpha = mul(alpha, Tensor(keep.T))
     weighted = mul(reshape(alpha, (num_edges, heads, 1)), gather_rows(z, edge_dst))

@@ -56,7 +56,7 @@ class SocialGraph:
     variant: str = "none"
     init_strategy: str = "none"
     index: dict[str, int] = field(init=False)
-    _edge_cache: dict[bool, tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
+    _edge_cache: dict[bool, tuple[np.ndarray, np.ndarray]] = field(
         init=False, default_factory=dict, repr=False, compare=False
     )
 
@@ -90,12 +90,20 @@ class SocialGraph:
         """Flat (source, neighbor) arrays over every attention neighborhood, sorted by that pair.
 
         A node attends over itself and its followees, plus its followers with
-        ``symmetric``. Built once per flag and returned read-only.
+        ``symmetric``. The neighbors are built once per flag and the sources
+        read off their offsets; both are returned read-only.
         """
-        return self._csr(symmetric)[:2]
+        dst, offsets = self._csr(symmetric)
+        src = np.repeat(np.arange(self.num_nodes, dtype=np.int64), np.diff(offsets))
+        src.flags.writeable = False
+        return src, dst
 
-    def _csr(self, symmetric: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``edge_arrays`` plus CSR offsets: node i's edges are ``offsets[i]:offsets[i + 1]``."""
+    def edge_count(self, symmetric: bool = False) -> int:
+        """The length of ``edge_arrays(symmetric)``, from the cached neighbors."""
+        return len(self._csr(symmetric)[0])
+
+    def _csr(self, symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
+        """``edge_arrays``' neighbors and CSR offsets: node i's edges are ``offsets[i]:offsets[i + 1]``."""
         if symmetric not in self._edge_cache:
             n, (follower, followee) = self.num_nodes, self.arcs.T
             loops = np.arange(n, dtype=np.int64)
@@ -103,9 +111,9 @@ class SocialGraph:
             dst = np.concatenate([loops, followee, follower] if symmetric else [loops, followee])
             src, dst = np.divmod(_distinct(src * n + dst), n)
             offsets = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))])
-            for array in (src, dst, offsets):
+            for array in (dst, offsets):
                 array.flags.writeable = False
-            self._edge_cache[symmetric] = (src, dst, offsets)
+            self._edge_cache[symmetric] = (dst, offsets)
         return self._edge_cache[symmetric]
 
     def neighbourhood(
@@ -123,11 +131,12 @@ class SocialGraph:
             raise ValueError("users must be sorted distinct node ids")
         if len(users) and (users[0] < 0 or users[-1] >= self.num_nodes):
             raise ValueError(f"user node ids must lie in [0, {self.num_nodes})")
-        src, dst, offsets = self._csr(symmetric)
+        dst, offsets = self._csr(symmetric)
         starts, counts = offsets[users], offsets[users + 1] - offsets[users]
         edges = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-        nodes = _distinct(dst[edges])
-        return nodes, np.searchsorted(nodes, src[edges]), np.searchsorted(nodes, dst[edges]), edges
+        neighbors = dst[edges]
+        nodes = _distinct(neighbors)
+        return nodes, np.searchsorted(nodes, np.repeat(users, counts)), np.searchsorted(nodes, neighbors), edges
 
     def node_ids(self, users: list[str]) -> np.ndarray:
         """The node id of each named user, in order; repeats allowed."""

@@ -27,7 +27,7 @@ from .encoder import EncoderParams, encode
 from .fusion import FusionParams, add_position_encoding, assemble, classify, fuse_attention, pool_rows
 from .gat import GatParams, gat_forward
 from .graph import SocialGraph
-from .tensor import Tensor, concat, no_grad, reshape
+from .tensor import RowDraws, Tensor, concat, no_grad, reshape
 
 __all__ = ["ABLATIONS", "DetectionModel"]
 
@@ -35,6 +35,17 @@ ABLATIONS = ("full", "no_gat", "no_encoder", "no_gat_residual", "single_head_gat
 
 
 class DetectionModel:
+    """The parameters of every kept piece, and the forward passes over them.
+
+    ``forward_batch`` scores a batch in one padded computation,
+    ``forward_halves`` a training batch as two row halves at once, and
+    ``predict`` off the tape in length-ordered chunks. ``tensor.matmul``'s two
+    product rules (a width-1 product sums elementwise products; a one-row
+    product runs as a two-row one) make a product row independent of the
+    rows beside it, so splitting a batch changes no probability; padding a
+    tweet to a longer one still may.
+    """
+
     def __init__(self, config, vocab_size: int, feature_dim: int, rng: np.random.Generator | None):
         self.config = config
 
@@ -116,18 +127,21 @@ class DetectionModel:
         seqs: list[TokenSequence],
         authors: Tensor | None,
         *,
-        rng: np.random.Generator | None = None,
+        rng: np.random.Generator | RowDraws | None = None,
+        width: int | None = None,
     ) -> Tensor:
         """Probabilities for a batch, shape [B], from one padded computation.
 
-        Token ids are padded to the batch's longest tweet and masked.
+        Token ids are padded to ``width`` slots, by default the batch's longest
+        tweet, and masked.
         ``authors`` holds each tweet's author row, [B, output_dim], from
         ``user_embeddings(graph, graph.node_ids(...))``. ``authors=None`` skips
         the author rows entirely, which reproduces the text-only ablation from
         the full model's parameters (the structural-equivalence escape hatch);
         the ``no_encoder`` and ``no_attention_layer`` models need the rows,
         and a model without a graph side takes none.
-        ``rng`` turns dropout on, at the config's rates.
+        ``rng`` turns dropout on, at the config's rates: a generator, or the
+        ``RowDraws`` of these rows of a larger batch (see ``forward_halves``).
         """
         if not seqs:
             raise ValueError("forward_batch needs at least one tweet")
@@ -141,7 +155,11 @@ class DetectionModel:
         lengths = np.zeros(len(seqs), dtype=np.int64)  # token rows per tweet
         if self.encoder is not None:
             lengths = np.array([len(s) for s in seqs])
-            token_mask = np.arange(lengths.max()) < lengths[:, None]
+            if width is None:
+                width = lengths.max()
+            elif width < lengths.max():
+                raise ValueError(f"a width of {width} slots cuts a {lengths.max()}-token tweet")
+            token_mask = np.arange(width) < lengths[:, None]
             ids = np.full(token_mask.shape, Vocab.PAD, dtype=np.int64)
             ids[token_mask] = np.concatenate([s.token_ids for s in seqs])
             tokens = encode(
@@ -171,6 +189,32 @@ class DetectionModel:
             hidden_dropout=self.config.hidden_dropout, pooling=self.config.pooling,
         )
 
+    def forward_halves(
+        self, seqs: list[TokenSequence], authors: Tensor | None, rng: np.random.Generator | None
+    ) -> Tensor:
+        """``forward_batch`` of the batch, on the tape, as two row halves run at once.
+
+        Rows [0, ⌈B/2⌉) and [⌈B/2⌉, B) each run ``forward_batch`` as a
+        ``resources.Job``, on ``helper_pool()`` and this thread, padded to the
+        batch's longest tweet, with the ``RowDraws`` of their rows. The
+        probabilities are concatenated, so a loss and its ``backward`` see one
+        tape. They and the random stream are the whole-batch forward's to the
+        bit, at any worker count. A batch of one tweet has one part.
+        """
+        middle = (len(seqs) + 1) // 2
+        bounds = [(0, middle), (middle, len(seqs))] if len(seqs) > 1 else [(0, len(seqs))]
+        width = max((len(s) for s in seqs), default=0)
+        draws = [None] * len(bounds) if rng is None else RowDraws.parts(rng, bounds)
+        jobs = [
+            resources.Job(functools.partial(
+                self.forward_batch, seqs[lo:hi], None if authors is None else authors[lo:hi], rng=part, width=width,
+            ))
+            for (lo, hi), part in zip(bounds, draws)
+        ]
+        resources.run_jobs(jobs)
+        probs = [job.result() for job in jobs]
+        return probs[0] if len(probs) == 1 else concat(probs)
+
     def predict(self, seqs: list[TokenSequence], graph: SocialGraph) -> np.ndarray:
         """Evaluation-mode probabilities as a plain array, in the order of ``seqs``.
 
@@ -199,15 +243,7 @@ class DetectionModel:
                 return self.forward_batch(seqs[i : i + step], None if authors is None else authors[i : i + step]).data
 
             jobs = [resources.Job(functools.partial(score, i)) for i in range(0, len(seqs), step)]
-            # the pool is left, so its helpers are joined, before no_grad exits: the switch is process-wide
-            with resources.helper_pool() as lane:
-                if lane is None:
-                    for job in jobs:
-                        job.run()
-                else:
-                    for job in jobs:
-                        lane.put(job)
-                    resources.drain(lane)  # this thread is one of the workers
+            resources.run_jobs(jobs)  # its helpers are joined before no_grad exits: the switch is process-wide
         probs = np.empty(len(seqs))
         probs[order] = np.concatenate([job.result() for job in jobs])
         return probs

@@ -40,11 +40,20 @@ process may run on (``os.sched_getaffinity``) at one BLAS thread
 the calling thread, all running jobs (``Job``) from one queue, so no more
 BLAS threads run than there are cores. The caller counts as a worker: at two
 BLAS threads a lone scoring thread ran about 4 % slower than the caller did.
-Neither use changes a result's bits:
+``run_jobs`` queues a list of jobs and runs them on this thread too. No use
+changes a result's bits:
 
-  * ``predict`` queues one job per chunk, then runs jobs itself (``drain``).
-    More workers would not pay: at two BLAS threads on 2 cores, two scoring
-    threads took 123 ms for a 1,000-tweet ``predict`` one scored in 107 ms.
+  * ``predict`` runs one job per chunk. More workers would not pay: at two
+    BLAS threads on 2 cores, two scoring threads took 123 ms for a
+    1,000-tweet ``predict`` one scored in 107 ms.
+  * ``DetectionModel.forward_halves`` runs a training batch's forward as two
+    jobs, one per half of its rows, which share dropout masks through a
+    ``lock``. The halves' rows are the whole batch's to the bit because
+    ``tensor.matmul`` rounds a product row alike whatever rows sit beside it:
+    it sums a width-1 product's elementwise products, and runs a one-row
+    product as a two-row one. A planted training step's forward took 21.4 ms
+    against 31.0 ms as one batch (medians of 5 paired processes, 2-core box,
+    one BLAS thread).
   * ``Tensor.backward`` queues parameters' gradients and walks on down the
     tape: a planted fit trained 3,119 tweets/s against 2,726 without
     (perfbench ``train-planted`` medians of 10 paired 30 s runs, 2-core box,
@@ -63,7 +72,7 @@ from contextlib import contextmanager
 
 import numpy  # noqa: F401  loads the OpenBLAS that the lookups below find
 
-__all__ = ["Job", "apply_malloc_policy", "blas_threads", "drain", "helper_pool", "scoring_workers"]
+__all__ = ["Job", "apply_malloc_policy", "blas_threads", "helper_pool", "lock", "run_jobs", "scoring_workers"]
 
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8  # mallopt parameters, malloc.h
 
@@ -163,13 +172,28 @@ def helper_pool() -> Iterator[queue.SimpleQueue | None]:
             helper.join()
 
 
-def drain(lane: queue.SimpleQueue) -> None:
-    """Run on this thread each job still on ``lane`` until it is empty; the helpers may still be running theirs."""
-    try:
-        while True:
-            lane.get_nowait().run()  # run() raises nothing
-    except queue.Empty:
-        pass
+def run_jobs(jobs: list[Job]) -> None:
+    """Run every job, on ``helper_pool()``'s threads and this one, or here in order at one worker.
+
+    The helpers are joined before this returns; each job keeps its own result or error.
+    """
+    with helper_pool() as lane:
+        if lane is None:
+            for job in jobs:
+                job.run()
+            return
+        for job in jobs:
+            lane.put(job)
+        try:  # this thread is one of the workers: it runs each job the helpers have not taken
+            while True:
+                lane.get_nowait().run()  # run() raises nothing
+        except queue.Empty:
+            pass
+
+
+def lock() -> threading.Lock:
+    """A lock for state that jobs running at once share."""
+    return threading.Lock()
 
 
 def _run_until_none(lane: queue.SimpleQueue) -> None:

@@ -49,7 +49,13 @@ Conventions:
 Batched sequences are ``[B, S, d]`` arrays. Products with a weight matrix
 flatten the leading axes into rows (one ``[B*S, d] @ [d, e]`` product);
 ``batched_matmul`` is for products between two batched operands, such as the
-attention scores.
+attention scores. A row of ``matmul``'s product is rounded alike whatever
+rows sit beside it, by two rules: numpy hands a one-row or one-column
+product to BLAS's matrix-vector routine, which rounds otherwise than its
+matrix product, so a width-1 product is a row of elementwise products,
+summed, and a one-row product runs as a two-row one. So a batch's forward
+run in row parts (``RowDraws``) gives the whole batch's rows to the bit.
+The backward formulas are plain products.
 
 Every scatter, that is every fold of many rows into one (the row lookup's
 backward and the segment ops), goes through the one helper ``_scatter``.
@@ -62,7 +68,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .resources import Job, helper_pool
+from .resources import Job, helper_pool, lock
 
 __all__ = [
     "Tensor",
@@ -89,6 +95,7 @@ __all__ = [
     "layer_norm",
     "dropout",
     "dropout_scale",
+    "RowDraws",
     "clip",
     "segment_softmax",
     "segment_sum",
@@ -112,7 +119,9 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self._node: _Node | None = None  # an op's tape entry; a leaf's comes with its first recorded use
+        # An op's tape entry, or a requires-grad leaf's own, made here so that threads recording on one
+        # parameter at once share it; a leaf made to require grad later gets its node on first use.
+        self._node: _Node | None = _Node((), None, self) if self.requires_grad else None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -249,7 +258,7 @@ class _Node:
 
 
 def _node_of(t: Tensor) -> _Node | None:
-    """``t``'s tape node, ``None`` for a constant; a requires-grad leaf gets its node here."""
+    """``t``'s tape node, ``None`` for a constant; a leaf made to require grad after it was built gets its node here."""
     if not t.requires_grad:
         return None
     if t._node is None:
@@ -375,7 +384,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             None if a_rows is None else Job(lambda: a_rows.T @ g_rows),
         )
 
-    return _make((rows @ b.data).reshape(*a_shape[:-1], b.shape[1]), (a, b), backward)
+    return _make(_row_product(rows, b.data).reshape(*a_shape[:-1], b.shape[1]), (a, b), backward)
+
+
+def _row_product(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``rows @ w``, each row rounded alike whatever rows sit beside it (the module's two product rules)."""
+    if w.shape[1] == 1:
+        return (rows * w[:, 0]).sum(axis=1, keepdims=True)
+    if len(rows) == 1:
+        return (np.concatenate((rows, rows)) @ w)[:1]
+    return rows @ w
 
 
 def batched_matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -614,13 +632,53 @@ def dropout_scale(shape, rate: float, rng: np.random.Generator | None, at=...) -
     return None if kept is None else kept / (1.0 - rate)
 
 
-def _kept(shape, rate: float, rng: np.random.Generator | None, at=...) -> np.ndarray | None:
+def _kept(shape, rate: float, rng: np.random.Generator | RowDraws | None, at=...) -> np.ndarray | None:
     """The boolean survivors of ``dropout_scale``'s mask, from the same draw."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rng is None or rate == 0.0:
         return None
+    if isinstance(rng, RowDraws):
+        return rng.kept(shape, rate)
     return rng.random(shape)[at] >= rate
+
+
+class RowDraws:
+    """Dropout for rows ``[lo, hi)`` of a batch whose other rows other forwards take, maybe at once.
+
+    ``parts(rng, bounds)`` gives one per ``(lo, hi)``, to pass where each
+    forward takes ``rng``. A part's k-th ``dropout`` reads its rows of the
+    batch's k-th mask, which the first part to get there draws from ``rng``
+    over the whole batch and thresholds. So the parts draw what one forward
+    over the batch would, in its order, and each row keeps its mask. A mask
+    is let go once every part has read it. For ``dropout`` only:
+    ``dropout_scale(..., at)`` takes a generator.
+    """
+
+    __slots__ = ("_shared", "_lo", "_hi", "_site")
+
+    def __init__(self, shared: tuple, lo: int, hi: int):
+        self._shared, self._lo, self._hi, self._site = shared, lo, hi, 0
+
+    @staticmethod
+    def parts(rng: np.random.Generator, bounds: list[tuple[int, int]]) -> list[RowDraws]:
+        masks: list[list] = []  # per site, in draw order: [boolean mask, parts yet to read it]
+        shared = (rng, bounds[-1][1], len(bounds), lock(), masks)
+        return [RowDraws(shared, lo, hi) for lo, hi in bounds]
+
+    def kept(self, shape, rate: float) -> np.ndarray:
+        rng, rows, parts, guard, masks = self._shared
+        with guard:
+            if self._site == len(masks):
+                masks.append([rng.random((rows, *shape[1:])) >= rate, parts])
+            entry = masks[self._site]
+            kept, entry[1] = entry[0], entry[1] - 1
+            if entry[1] == 0:
+                entry[0] = None
+        self._site += 1
+        if kept.shape[1:] != tuple(shape[1:]) or shape[0] != self._hi - self._lo:
+            raise ValueError(f"rows [{self._lo}, {self._hi}) of a {list(kept.shape)} mask do not fit {list(shape)}")
+        return kept[self._lo : self._hi]
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None = None) -> Tensor:

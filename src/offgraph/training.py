@@ -310,7 +310,7 @@ def fit(config: TrainConfig, corpus: Corpus) -> TrainedRun:
         epoch_losses = []
         for batch in batches(train_seqs, config.batch_size, shuffle_rng):
             authors = model.user_embeddings(graph, graph.node_ids([s.author_id for s in batch]), rng=dropout_rng)
-            probs = model.forward_batch(batch, authors, rng=dropout_rng)
+            probs = model.forward_halves(batch, authors, dropout_rng)
             loss = focal_loss_tensor(probs, [s.label for s in batch], focal)
             value = loss.item()
             if not np.isfinite(value):

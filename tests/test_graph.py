@@ -69,10 +69,14 @@ def test_edge_arrays_are_built_once_per_flag_and_read_only():
     params = GatParams.init(2, 2, 4, np.random.default_rng(0))
     for symmetric in (False, True):
         first = g.edge_arrays(symmetric=symmetric)
+        cached = g._csr(symmetric)
         again = g.edge_arrays(symmetric=symmetric)
-        assert again[0] is first[0] and again[1] is first[1]
-        with pytest.raises(ValueError, match="read-only"):
-            first[0][0] = 1
+        assert g._csr(symmetric) is cached and again[1] is first[1] is cached[0]  # the neighbors, built once
+        assert np.array_equal(again[0], first[0])  # the sources, read off the cached offsets
+        for array in (*first, *cached):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+        assert g.edge_count(symmetric) == len(first[0]) == len(first[1])
         warm = gat_forward(Tensor(g.features), g, params, symmetric=symmetric).data
         cold = gat_forward(Tensor(g.features), replace(g), params, symmetric=symmetric).data  # nothing cached
         assert np.array_equal(warm, cold)
@@ -117,6 +121,8 @@ def test_neighbourhood_matches_brute_force(graph_input, wanted, symmetric):
     assert hood.tolist() == sorted(set(dst[edges].tolist()))
     assert set(users.tolist()) <= set(hood.tolist())
     assert np.array_equal(hood[local_src], src[edges]) and np.array_equal(hood[local_dst], dst[edges])
+    # the local sources come from the users repeated by their edge counts, not from src[edges]
+    assert np.array_equal(np.repeat(users, np.bincount(src, minlength=n)[users]), src[edges])
 
 
 def test_neighbourhood_rejects_unsorted_or_unknown_users():

@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from offgraph import attention, encoder, fusion, gat, resources, tensor
 from offgraph.corpus import TokenSequence, build_vocab, encode, split_corpus
@@ -16,7 +18,7 @@ from offgraph.graph import build_graph, with_node_features
 from offgraph.losses import focal_loss_tensor
 from offgraph.model import ABLATIONS, DetectionModel
 from offgraph.synthetic import generate_corpus
-from offgraph.tensor import concat, dropout, dropout_scale, gather_rows, no_grad, reshape
+from offgraph.tensor import _toposort, concat, dropout, dropout_scale, gather_rows, no_grad, reshape
 from offgraph.training import ConfigError, TrainConfig
 
 
@@ -475,5 +477,66 @@ def test_backward_gives_every_leaf_the_same_gradient_on_its_helper_thread(settin
             assert list(threaded) == list(inline)
             for name, grad in inline.items():
                 assert np.array_equal(threaded[name], grad), name
+    finally:
+        sys.setswitchinterval(switching)
+
+
+@pytest.fixture(scope="module")
+def batch64(setting):
+    """64 training tweets of mixed lengths, and a model with dropout at both rates."""
+    corpus, vocab, graph, _ = setting
+    split = split_corpus(corpus, 0.7, np.random.default_rng(0))
+    seqs = [encode(t, vocab, 24) for t in split.train[:64]]
+    assert len(seqs) == 64 and len({len(s) for s in seqs}) > 3
+    return _model(setting, attention_dropout=0.3, hidden_dropout=0.2)[0], graph, seqs
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 64), st.booleans(), st.integers(0, 2**16))
+@example(2, True, 0)  # halves of one tweet: one-row products
+@example(3, False, 0)
+def test_forward_halves_equal_the_whole_batch_forward(batch64, size, dropping, seed):
+    """The two halves, run at once, give the whole batch's probabilities and leave its generator where it would."""
+    model, graph, seqs = batch64
+    batch = seqs[len(seqs) - size :]
+    authors = graph.node_ids([s.author_id for s in batch])
+    whole_rng, halves_rng = (np.random.default_rng(seed) if dropping else None for _ in range(2))
+    whole = model.forward_batch(batch, model.user_embeddings(graph, authors, rng=whole_rng), rng=whole_rng)
+    workers = resources.scoring_workers
+    resources.scoring_workers = lambda: 2
+    try:
+        halves = model.forward_halves(batch, model.user_embeddings(graph, authors, rng=halves_rng), halves_rng)
+    finally:
+        resources.scoring_workers = workers
+    assert halves.shape == (size,) and halves.requires_grad
+    assert np.array_equal(halves.data, whole.data)
+    if dropping:
+        assert halves_rng.bit_generator.state == whole_rng.bit_generator.state
+
+
+def test_a_split_step_records_one_tape_node_per_parameter(setting, batch64, monkeypatch):
+    """Both halves record on every encoder and fusion parameter, and read the shared dropout masks,
+    at once: on three workers, more than a small box's cores, each parameter keeps its one node and
+    the halves still give the whole batch's probabilities and random stream."""
+    _, graph, seqs = batch64
+    model, _ = _model(setting, attention_dropout=0.3, hidden_dropout=0.2)
+    ids = graph.node_ids([s.author_id for s in seqs])
+    params = model.named_parameters().values()
+    assert all(p._node is not None and p._node.leaf is p for p in params)  # made with the parameter, not on first use
+    switching = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the interpreter between threads as often as it can
+    try:
+        for seed in range(3):
+            whole_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            whole = model.forward_batch(seqs, model.user_embeddings(graph, ids, rng=whole_rng), rng=whole_rng)
+            monkeypatch.setattr(resources, "scoring_workers", lambda: 3)
+            probs = model.forward_halves(seqs, model.user_embeddings(graph, ids, rng=rng), rng)
+            monkeypatch.undo()
+            assert np.array_equal(probs.data, whole.data)
+            assert rng.bit_generator.state == whole_rng.bit_generator.state
+            loss = focal_loss_tensor(probs, [s.label for s in seqs])
+            leaves = [node for node in _toposort(loss._node) if node.backward is None]
+            assert sorted(id(node.leaf) for node in leaves) == sorted(map(id, params))
+            assert all(node.leaf._node is node for node in leaves)
     finally:
         sys.setswitchinterval(switching)

@@ -454,3 +454,15 @@ def test_dropout_reproducible_for_fixed_seed():
     a = T.dropout(x, 0.3, rng=np.random.default_rng(123))
     b = T.dropout(x, 0.3, rng=np.random.default_rng(123))
     assert np.array_equal(a.data, b.data)
+
+
+@pytest.mark.parametrize("width", [1, 192])
+def test_a_product_row_does_not_depend_on_the_rows_beside_it(width):
+    """A width-1 product, and a product of one row, round each row as a product of more rows does."""
+    rng = np.random.default_rng(9)
+    rows, w = rng.normal(size=(2048, 64)), Tensor(rng.normal(size=(64, width)))
+    full = T.matmul(Tensor(rows), w).data
+    for m in range(1, 2049):
+        assert np.array_equal(T.matmul(Tensor(rows[:m]), w).data, full[:m]), m
+    for i in (0, 1, 1000, 2047):
+        assert np.array_equal(T.matmul(Tensor(rows[i : i + 1]), w).data, full[i : i + 1]), i

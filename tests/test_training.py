@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from offgraph import training
+from offgraph import resources, training
 from offgraph.cli import main
 from offgraph.corpus import Corpus, encode, split_corpus, write_tweets_jsonl
 from offgraph.fusion import POOLINGS
@@ -322,20 +322,43 @@ def test_fit_rejects_a_single_class_test_split_early(corpus, no_model):
 
 
 def test_fit_holds_one_training_steps_tape_at_a_time(corpus, monkeypatch):
-    steps = []  # a weakref to each training step's probabilities, kept alive only by that step's tape
+    """A step starts at its author rows; its two forward halves may run at once, but no
+    probabilities of an earlier step may still be alive when either starts."""
+    steps = []  # per step, weakrefs to its probabilities, kept alive only by that step's tape
+    user_embeddings = training.DetectionModel.user_embeddings
     forward_batch = training.DetectionModel.forward_batch
 
-    def watched(self, seqs, authors, *, rng=None):
-        alive = [i for i, ref in enumerate(steps) if ref() is not None]
-        assert not alive, f"steps {alive} still hold their tape when step {len(steps)} starts"
-        probs = forward_batch(self, seqs, authors, rng=rng)
+    def step_starts(self, graph, users=None, *, rng=None):
+        steps.append([])
+        return user_embeddings(self, graph, users, rng=rng)
+
+    def watched(self, seqs, authors, *, rng=None, width=None):
+        step = len(steps) - 1
+        alive = [i for i, refs in enumerate(steps[:step]) if any(ref() is not None for ref in refs)]
+        assert not alive, f"steps {alive} still hold their tape when step {step} runs"
+        probs = forward_batch(self, seqs, authors, rng=rng, width=width)
         if probs.requires_grad:
-            steps.append(weakref.ref(probs.data))
+            steps[step].append(weakref.ref(probs.data))
         return probs
 
+    monkeypatch.setattr(training.DetectionModel, "user_embeddings", step_starts)
     monkeypatch.setattr(training.DetectionModel, "forward_batch", watched)
     fit(_tiny_config(max_epochs=1, early_stop_patience=1), corpus)  # predict's forward checks the last step
-    assert len(steps) > 1
+    assert sum(len(refs) == 2 for refs in steps) > 1
+
+
+def test_fit_is_the_same_at_one_worker_and_at_two(corpus, monkeypatch):
+    """One worker runs a step's forward halves in order on this thread; two run them at once."""
+    runs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(resources, "scoring_workers", lambda: workers)
+        run = fit(_tiny_config(hidden_dropout=0.2), corpus)
+        runs.append((run.result.to_json().encode(), run.model.state_arrays(), run.best_state))
+    (json_1, state_1, best_1), (json_2, state_2, best_2) = runs
+    assert json_1 == json_2
+    for name in state_1:
+        assert state_1[name].tobytes() == state_2[name].tobytes(), name
+        assert best_1[name].tobytes() == best_2[name].tobytes(), name
 
 
 def test_fit_returns_a_model_that_holds_no_gradients(corpus):
