@@ -25,15 +25,18 @@ opt out, since no caller needs others:
     peak RSS from 88.8 MB (one thread) to 100-103 MB with a second arena,
     and to 88.9-89.9 MB with this cap (2-core box, one BLAS thread).
 
-**One BLAS thread** is set on import as well, through the ``set_num_threads``
-of the OpenBLAS numpy loaded, whatever ``OPENBLAS_NUM_THREADS`` says. A
-product's sums follow the BLAS thread count in their last bits, so the
-results no longer depend on the environment, and the cores go to the helper
-pool rather than to BLAS threads that would compete with it. Where no setter
-is found (another BLAS, or no ``/proc``), nothing is set.
+**One BLAS thread** is set on import too, through numpy's OpenBLAS's
+``set_num_threads``, whatever ``OPENBLAS_NUM_THREADS`` says. A handle to
+numpy's extension module finds it among the libraries that module loaded
+(dlopen(3)), so another OpenBLAS in the process (scipy's, say) is neither set
+nor read. A product's last bits follow the BLAS thread count, so results no
+longer depend on the environment, and the cores go to the helper pool rather
+than to BLAS threads that would compete with it. Nothing is set where the
+extension cannot be opened, where there is no ``RTLD_NOLOAD`` (Windows), where
+numpy uses another BLAS, or where none of the names is exported.
 
-**The worker count** (``scoring_workers``) is the number of cores this
-process may run on (``os.sched_getaffinity``) at one BLAS thread
+**The worker count** (``scoring_workers``) is the cores this process may run
+on (``os.sched_getaffinity``, else ``os.cpu_count``) at one BLAS thread
 (``blas_threads``), else 1: BLAS's own threads may use the cores already.
 
 **The helper pool** (``helper_pool``) starts one thread per worker beyond
@@ -70,7 +73,7 @@ import threading
 from collections.abc import Iterator
 from contextlib import contextmanager
 
-import numpy  # noqa: F401  loads the OpenBLAS that the lookups below find
+import numpy
 
 __all__ = ["Job", "apply_malloc_policy", "blas_threads", "helper_pool", "lock", "run_jobs", "scoring_workers"]
 
@@ -95,23 +98,17 @@ def apply_malloc_policy() -> None:
 
 @functools.cache
 def _openblas_function(name: str):
-    """The loaded OpenBLAS's ``name`` (``get_num_threads``, say), found through the process's mappings, or None."""
+    """numpy's OpenBLAS's ``name`` (``get_num_threads``, say), found on numpy's extension module, or None."""
     try:
-        with open("/proc/self/maps") as maps:
-            fields = (line.split(maxsplit=5) for line in maps)
-            paths = sorted({f[5].strip() for f in fields if len(f) == 6 and "openblas" in os.path.basename(f[5])})
-    except OSError:
+        core = numpy.core if numpy.__version__.startswith("1.") else numpy._core  # numpy 1.26's _core is a pickle shim
+        lib = ctypes.CDLL(core._multiarray_umath.__file__, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+    except (AttributeError, OSError):  # no RTLD_NOLOAD (Windows), no extension file, or it cannot be opened
         return None
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:  # the mapped file is gone, say replaced since it was loaded
-            continue
-        for prefix, suffix in _OPENBLAS_AFFIXES:
-            if hasattr(lib, prefix + name + suffix):
-                function = getattr(lib, prefix + name + suffix)
-                function.argtypes, function.restype = _OPENBLAS_SIGNATURES[name]
-                return function
+    for prefix, suffix in _OPENBLAS_AFFIXES:
+        if hasattr(lib, prefix + name + suffix):
+            function = getattr(lib, prefix + name + suffix)
+            function.argtypes, function.restype = _OPENBLAS_SIGNATURES[name]
+            return function
     return None
 
 
@@ -123,7 +120,9 @@ def blas_threads() -> int | None:
 
 def scoring_workers() -> int:
     """Threads that may run at once, the caller's included: one per core at one BLAS thread, else 1."""
-    return len(os.sched_getaffinity(0)) if blas_threads() == 1 else 1
+    if blas_threads() != 1:
+        return 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 class Job:

@@ -1,5 +1,6 @@
 """Process-wide resource settings: the malloc policy and one BLAS thread set on import, and the worker count."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -43,21 +44,34 @@ print(json.dumps(calls))
 
 @pytest.mark.parametrize(
     "blas, cores, workers",
-    [(None, 2, 1), (None, 8, 1), (1, 2, 2), (2, 2, 1), (1, 4, 4), (2, 8, 1), (3, 8, 1), (4, 2, 1), (64, 1, 1)],
+    [(None, 2, 1), (None, 8, 1), (1, 2, 2), (2, 2, 1), (1, 4, 4), (2, 8, 1), (3, 8, 1), (4, 2, 1), (64, 1, 1)]
+    + [(1, None, 3), (2, None, 1)],  # cores None: no os.sched_getaffinity (macOS), and os.cpu_count() gives 3
 )
 def test_scoring_workers_are_the_cores_blas_leaves_idle(monkeypatch, blas, cores, workers):
     """One BLAS thread leaves every core to a worker; more, or a count that cannot be read, leave one."""
     monkeypatch.setattr(resources, "blas_threads", lambda: blas)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    if cores is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
     assert resources.scoring_workers() == workers
 
 
 def test_the_blas_probe_finds_nothing_where_the_library_cannot_be_opened(monkeypatch):
-    def gone(path):
+    def gone(path, *args, **kwargs):
         raise OSError(f"{path}: cannot open shared object file")
 
     monkeypatch.setattr(resources.ctypes, "CDLL", gone)
     assert resources._openblas_function.__wrapped__("get_num_threads") is None  # the uncached lookup
+
+
+def test_the_blas_probe_finds_nothing_where_numpy_exports_no_openblas_name(monkeypatch):
+    """numpy built against another BLAS: the handle opens but has none of the names, so one worker runs."""
+    monkeypatch.setattr(resources.ctypes, "CDLL", lambda path, *args, **kwargs: object())
+    monkeypatch.setattr(resources, "_openblas_function", resources._openblas_function.__wrapped__)  # uncached
+    assert resources._openblas_function("get_num_threads") is None
+    assert resources.scoring_workers() == 1
 
 
 def test_the_blas_probe_reads_the_thread_count_it_was_started_with():
@@ -75,6 +89,37 @@ from offgraph import resources as r
 print(r._openblas_function("set_num_threads") is not None, r.blas_threads(), r.scoring_workers())
 """
     out = _fresh_python(probe, OPENBLAS_NUM_THREADS=environment).split()
+    if out[0] == "False":
+        pytest.skip("this numpy build loads no OpenBLAS that exports a set_num_threads symbol, so nothing is set")
+    assert out[1:] == ["1", str(len(os.sched_getaffinity(0)))]
+
+
+def test_importing_offgraph_reads_no_proc_file():
+    """The BLAS lookup goes through numpy's extension module, so importing offgraph opens no ``/proc`` file."""
+    probe = """
+import builtins, io, json
+import numpy
+paths, real = [], builtins.open
+def recording_open(file, *args, **kwargs):
+    paths.append(str(file))
+    return real(file, *args, **kwargs)
+builtins.open = io.open = recording_open
+import offgraph, offgraph.cli
+print(json.dumps([path for path in paths if path.startswith("/proc")]))
+"""
+    assert json.loads(_fresh_python(probe)) == []
+
+
+def test_importing_offgraph_after_scipy_sets_numpys_blas():
+    """scipy maps an OpenBLAS of its own; the handle on numpy's extension still finds numpy's, and sets it."""
+    if importlib.util.find_spec("scipy") is None:
+        pytest.skip("scipy is not installed, so no second OpenBLAS can be loaded first")
+    probe = """
+import scipy.linalg
+from offgraph import resources as r
+print(r._openblas_function("set_num_threads") is not None, r.blas_threads(), r.scoring_workers())
+"""
+    out = _fresh_python(probe, OPENBLAS_NUM_THREADS=None).split()
     if out[0] == "False":
         pytest.skip("this numpy build loads no OpenBLAS that exports a set_num_threads symbol, so nothing is set")
     assert out[1:] == ["1", str(len(os.sched_getaffinity(0)))]
