@@ -194,25 +194,16 @@ class DetectionModel:
     ) -> Tensor:
         """``forward_batch`` of the batch, on the tape, as two row halves run at once.
 
-        Rows [0, ⌈B/2⌉) and [⌈B/2⌉, B) each run ``forward_batch`` as a
-        ``resources.Job``, on ``helper_pool()`` and this thread, padded to the
-        batch's longest tweet, with the ``RowDraws`` of their rows. The
-        probabilities are concatenated, so a loss and its ``backward`` see one
-        tape. They and the random stream are the whole-batch forward's to the
-        bit, at any worker count. A batch of one tweet has one part.
+        Rows [0, ⌈B/2⌉) and [⌈B/2⌉, B) each run ``forward_batch`` through
+        ``_forward_rows``, padded to the batch's longest tweet, with the
+        ``RowDraws`` of their rows. The probabilities are concatenated, so a
+        loss and its ``backward`` see one tape. They and the random stream are
+        the whole-batch forward's to the bit, at any worker count. A batch of
+        one tweet has one part.
         """
         middle = (len(seqs) + 1) // 2
         bounds = [(0, middle), (middle, len(seqs))] if len(seqs) > 1 else [(0, len(seqs))]
-        width = max((len(s) for s in seqs), default=0)
-        draws = [None] * len(bounds) if rng is None else RowDraws.parts(rng, bounds)
-        jobs = [
-            resources.Job(functools.partial(
-                self.forward_batch, seqs[lo:hi], None if authors is None else authors[lo:hi], rng=part, width=width,
-            ))
-            for (lo, hi), part in zip(bounds, draws)
-        ]
-        resources.run_jobs(jobs)
-        probs = [job.result() for job in jobs]
+        probs = self._forward_rows(seqs, authors, bounds, rng, width=max((len(s) for s in seqs), default=0))
         return probs[0] if len(probs) == 1 else concat(probs)
 
     def predict(self, seqs: list[TokenSequence], graph: SocialGraph) -> np.ndarray:
@@ -222,28 +213,37 @@ class DetectionModel:
         ``config.batch_size`` tweets, so each chunk pads only to its own
         longest tweet and memory stays flat in the number of tweets. Each
         scored tweet's author is embedded once, from the authors'
-        neighbourhoods. Each chunk is a ``resources.Job`` on ``helper_pool()``,
-        run by its threads and this one in length order, ``scoring_workers()``
-        at once: one per core, at the one BLAS thread importing offgraph sets.
-        The chunks and their arithmetic, so every score, are the same at any
-        worker count, and the first failing chunk in length order raises.
+        neighbourhoods. The chunks run through ``_forward_rows``,
+        ``scoring_workers()`` at once: one per core, at the one BLAS thread
+        importing offgraph sets. The chunks and their arithmetic, so every
+        score, are the same at any worker count, and the first failing chunk in
+        length order raises.
         """
         if not seqs:
             return np.zeros(0)
         order = np.argsort([len(s) for s in seqs], kind="stable")
         seqs = [seqs[i] for i in order]
         step = self.config.batch_size
+        bounds = [(lo, min(lo + step, len(seqs))) for lo in range(0, len(seqs), step)]
         with no_grad():
             # no lookup without a graph side, so the text-only model scores authors the graph lacks
             authors = None
             if self.gat is not None:
                 authors = self.user_embeddings(graph, graph.node_ids([s.author_id for s in seqs]))
-
-            def score(i: int) -> np.ndarray:  # the chunk of tweets from the i-th on
-                return self.forward_batch(seqs[i : i + step], None if authors is None else authors[i : i + step]).data
-
-            jobs = [resources.Job(functools.partial(score, i)) for i in range(0, len(seqs), step)]
-            resources.run_jobs(jobs)  # its helpers are joined before no_grad exits: the switch is process-wide
+            chunks = self._forward_rows(seqs, authors, bounds)  # done before no_grad exits: it is process-wide
         probs = np.empty(len(seqs))
-        probs[order] = np.concatenate([job.result() for job in jobs])
+        probs[order] = np.concatenate([chunk.data for chunk in chunks])
         return probs
+
+    def _forward_rows(
+        self, seqs: list[TokenSequence], authors: Tensor | None, bounds: list[tuple[int, int]], rng=None, width=None
+    ) -> list[Tensor]:
+        """``forward_batch`` of rows ``[lo, hi)`` for each of ``bounds``, as one ``resources.Job`` each through
+        ``resources.run_jobs``; with ``rng``, each reads its rows of the batch's dropout masks (``RowDraws``)."""
+        draws = [None] * len(bounds) if rng is None else RowDraws.parts(rng, bounds)
+        return resources.run_jobs([
+            resources.Job(functools.partial(
+                self.forward_batch, seqs[lo:hi], None if authors is None else authors[lo:hi], rng=part, width=width,
+            ))
+            for (lo, hi), part in zip(bounds, draws)
+        ])

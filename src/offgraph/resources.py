@@ -39,25 +39,26 @@ numpy uses another BLAS, or where none of the names is exported.
 on (``os.sched_getaffinity``, else ``os.cpu_count``) at one BLAS thread
 (``blas_threads``), else 1: BLAS's own threads may use the cores already.
 
-**The helper pool** (``helper_pool``) starts one thread per worker beyond
-the calling thread, all running jobs (``Job``) from one queue, so no more
-BLAS threads run than there are cores. The caller counts as a worker: at two
-BLAS threads a lone scoring thread ran about 4 % slower than the caller did.
-``run_jobs`` queues a list of jobs and runs them on this thread too. No use
-changes a result's bits:
+**The helper pool** (``helper_pool``) yields ``submit(job)``, the one way to
+hand a ``Job`` to the other cores: at one worker it runs the job, above that it
+queues it for one thread per worker beyond the caller, so no more BLAS threads
+run than there are cores. The caller counts as a worker: however the block
+ends, it runs each job the helpers have not taken, then joins them (Cilk-5's
+help-first rule; Frigo, Leiserson & Randall, PLDI 1998). At two BLAS threads
+a lone scoring thread ran about 4 % slower than the caller did. ``run_jobs``
+submits a list and returns the results. No use changes a result's bits:
 
   * ``predict`` runs one job per chunk. More workers would not pay: at two
     BLAS threads on 2 cores, two scoring threads took 123 ms for a
     1,000-tweet ``predict`` one scored in 107 ms.
   * ``DetectionModel.forward_halves`` runs a training batch's forward as two
-    jobs, one per half of its rows, which share dropout masks through a
-    ``lock``. The halves' rows are the whole batch's to the bit because
-    ``tensor.matmul`` rounds a product row alike whatever rows sit beside it:
-    it sums a width-1 product's elementwise products, and runs a one-row
-    product as a two-row one. A planted training step's forward took 21.4 ms
-    against 31.0 ms as one batch (medians of 5 paired processes, 2-core box,
-    one BLAS thread).
-  * ``Tensor.backward`` queues parameters' gradients and walks on down the
+    jobs, one per half of its rows, which share dropout masks. The halves'
+    rows are the whole batch's to the bit because ``tensor.matmul`` rounds a
+    product row alike whatever rows sit beside it: it sums a width-1
+    product's elementwise products, and runs a one-row product as a two-row
+    one. A planted training step's forward took 21.4 ms against 31.0 ms as
+    one batch (medians of 5 paired processes, 2-core box, one BLAS thread).
+  * ``Tensor.backward`` submits parameters' gradients and walks on down the
     tape: a planted fit trained 3,119 tweets/s against 2,726 without
     (perfbench ``train-planted`` medians of 10 paired 30 s runs, 2-core box,
     one BLAS thread), the wide-graph fit 2,639 against 2,313.
@@ -70,12 +71,12 @@ import functools
 import os
 import queue
 import threading
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 
 import numpy
 
-__all__ = ["Job", "apply_malloc_policy", "blas_threads", "helper_pool", "lock", "run_jobs", "scoring_workers"]
+__all__ = ["Job", "apply_malloc_policy", "blas_threads", "helper_pool", "run_jobs", "scoring_workers"]
 
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8  # mallopt parameters, malloc.h
 
@@ -148,14 +149,18 @@ class Job:
 
 
 @contextmanager
-def helper_pool() -> Iterator[queue.SimpleQueue | None]:
-    """Start ``scoring_workers() - 1`` threads that run each ``Job`` put on the queue this yields.
+def helper_pool() -> Iterator[Callable[[Job], None]]:
+    """Yield ``submit(job)``, which hands a ``Job`` to ``scoring_workers()`` threads, this one included.
 
-    At one worker it starts none and yields ``None``. However the block ends,
-    the threads run every job still queued and are joined on exit.
+    At one worker no thread starts and ``submit`` is ``Job.run``. Above, it
+    queues the job for the helpers this starts. However the block ends, this
+    thread runs every job they have not taken, then joins them.
     """
     workers = scoring_workers()
-    lane = queue.SimpleQueue() if workers > 1 else None
+    if workers == 1:
+        yield Job.run
+        return
+    lane = queue.SimpleQueue()
     helpers = []
     try:
         for _ in range(workers - 1):
@@ -163,36 +168,28 @@ def helper_pool() -> Iterator[queue.SimpleQueue | None]:
             helper = threading.Thread(target=_run_until_none, args=(lane,), daemon=True)
             helper.start()
             helpers.append(helper)
-        yield lane
+        yield lane.put
     finally:
+        try:  # this thread is one of the workers: it runs each job the helpers have not taken
+            while True:
+                lane.get_nowait().run()  # run() raises nothing
+        except queue.Empty:
+            pass
         for _ in helpers:
             lane.put(None)
         for helper in helpers:
             helper.join()
 
 
-def run_jobs(jobs: list[Job]) -> None:
-    """Run every job, on ``helper_pool()``'s threads and this one, or here in order at one worker.
+def run_jobs(jobs: list[Job]) -> list:
+    """Run every job through ``helper_pool()`` and return their results in job order.
 
-    The helpers are joined before this returns; each job keeps its own result or error.
+    The first failing job in that order raises, whichever thread ran it.
     """
-    with helper_pool() as lane:
-        if lane is None:
-            for job in jobs:
-                job.run()
-            return
+    with helper_pool() as submit:
         for job in jobs:
-            lane.put(job)
-        try:  # this thread is one of the workers: it runs each job the helpers have not taken
-            while True:
-                lane.get_nowait().run()  # run() raises nothing
-        except queue.Empty:
-            pass
-
-
-def lock() -> threading.Lock:
-    """A lock for state that jobs running at once share."""
-    return threading.Lock()
+            submit(job)
+    return [job.result() for job in jobs]
 
 
 def _run_until_none(lane: queue.SimpleQueue) -> None:

@@ -37,11 +37,12 @@ Conventions:
     for the side that is usually a parameter: ``matmul``'s weight product,
     ``layer_norm``'s gain and bias sums, ``add``'s sum over a broadcast side
     and ``gather_rows``' scatter into its table. No later backward step reads
-    a leaf's gradient, so ``backward()`` queues those bound for a leaf on
-    ``resources.helper_pool()`` and computes the rest, and all where the pool
-    has no helpers, at once. Each leaf's contributions are summed after the
-    walk in the order they arrived, as a walk that sums as it goes would:
-    every gradient is the same to the bit at any worker count,
+    a leaf's gradient, so ``backward()`` submits those bound for a leaf to
+    ``resources.helper_pool()`` and computes the rest at once; the calling
+    thread runs those still queued when the walk ends. Each leaf's
+    contributions are summed after the walk in the order they arrived, as a
+    walk that sums as it goes would: every gradient is the same to the bit at
+    any worker count,
   * a function that draws random numbers takes a ``np.random.Generator``
     and draws nothing without one: ``dropout`` with ``rng=None`` is the
     identity, which is evaluation mode. Dropout uses inverted scaling.
@@ -64,11 +65,12 @@ backward and the segment ops), goes through the one helper ``_scatter``.
 from __future__ import annotations
 
 import math
+import threading
 from contextlib import contextmanager
 
 import numpy as np
 
-from .resources import Job, helper_pool, lock
+from .resources import Job, helper_pool
 
 __all__ = [
     "Tensor",
@@ -111,17 +113,29 @@ class Tensor:
     ``data`` is always a float64 ndarray. ``grad`` starts as ``None`` and is
     populated (or accumulated into) by ``backward()`` for every leaf with
     ``requires_grad`` reachable from the loss, as a float64 ndarray too.
+    A tensor requires grad iff it has a tape node: an op's, or a leaf's own,
+    made when the tensor is built or ``requires_grad`` is set, so that threads
+    recording on one parameter at once share it.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_node")
+    __slots__ = ("data", "grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad)
-        # An op's tape entry, or a requires-grad leaf's own, made here so that threads recording on one
-        # parameter at once share it; a leaf made to require grad later gets its node on first use.
-        self._node: _Node | None = _Node((), None, self) if self.requires_grad else None
+        self._node: _Node | None = _Node((), None, self) if requires_grad else None
+
+    @property
+    def requires_grad(self) -> bool:
+        """Whether the tensor has a node; setting True gives a constant a leaf's and keeps any, False drops it."""
+        return self._node is not None
+
+    @requires_grad.setter
+    def requires_grad(self, value: bool) -> None:
+        if not value:
+            self._node = None
+        elif self._node is None:
+            self._node = _Node((), None, self)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -142,19 +156,20 @@ class Tensor:
         """Populate ``.grad`` for every requires-grad leaf reachable from here.
 
         The loss must be a single element. Repeated calls accumulate one more
-        analytic pass each time. Leaves' deferred gradients
-        run on ``helper_pool()``'s threads, joined before this returns; a
-        failure there is raised here, and then no ``.grad`` changes.
+        analytic pass each time. Leaves' deferred gradients are submitted to
+        ``helper_pool()``: its helpers and this thread run them, and this
+        thread runs those still queued when the walk ends. A failure there is
+        raised here, and then no ``.grad`` changes.
         """
         if self.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {self.shape}")
-        root = _node_of(self)
+        root = self._node
         if root is None:
             return
         seed = np.ones_like(self.data)
         pending: dict[_Node, np.ndarray] = {} if root.backward is None else {root: seed}
         arrived: dict[_Node, list] = {root: [seed]} if root.backward is None else {}  # each leaf's, in order
-        with helper_pool() as lane:
+        with helper_pool() as submit:
             for node in reversed(_toposort(root)):
                 grad_out = pending.pop(node, None)
                 if grad_out is None:
@@ -163,8 +178,8 @@ class Tensor:
                     if parent is None or grad_in is None:
                         continue
                     if isinstance(grad_in, Job):
-                        if lane is not None and parent.backward is None:
-                            lane.put(grad_in)
+                        if parent.backward is None:  # a leaf's: no later backward step reads it
+                            submit(grad_in)
                         else:
                             grad_in = grad_in.compute()
                     if parent.backward is None:  # a leaf
@@ -257,21 +272,11 @@ class _Node:
         self.leaf = leaf
 
 
-def _node_of(t: Tensor) -> _Node | None:
-    """``t``'s tape node, ``None`` for a constant; a leaf made to require grad after it was built gets its node here."""
-    if not t.requires_grad:
-        return None
-    if t._node is None:
-        t._node = _Node((), None, t)
-    return t._node
-
-
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     out = Tensor(data)
     if _grad_enabled:
-        nodes = tuple(_node_of(p) for p in parents)
+        nodes = tuple(p._node for p in parents)
         if any(nodes):
-            out.requires_grad = True
             out._node = _Node(nodes, backward)
     return out
 
@@ -650,9 +655,8 @@ class RowDraws:
     forward takes ``rng``. A part's k-th ``dropout`` reads its rows of the
     batch's k-th mask, which the first part to get there draws from ``rng``
     over the whole batch and thresholds. So the parts draw what one forward
-    over the batch would, in its order, and each row keeps its mask. A mask
-    is let go once every part has read it. For ``dropout`` only:
-    ``dropout_scale(..., at)`` takes a generator.
+    over the batch would, in its order, and each row keeps its mask. For
+    ``dropout`` only: ``dropout_scale(..., at)`` takes a generator.
     """
 
     __slots__ = ("_shared", "_lo", "_hi", "_site")
@@ -662,19 +666,16 @@ class RowDraws:
 
     @staticmethod
     def parts(rng: np.random.Generator, bounds: list[tuple[int, int]]) -> list[RowDraws]:
-        masks: list[list] = []  # per site, in draw order: [boolean mask, parts yet to read it]
-        shared = (rng, bounds[-1][1], len(bounds), lock(), masks)
+        masks: list[np.ndarray] = []  # the whole batch's boolean mask per site, in draw order
+        shared = (rng, bounds[-1][1], threading.Lock(), masks)
         return [RowDraws(shared, lo, hi) for lo, hi in bounds]
 
     def kept(self, shape, rate: float) -> np.ndarray:
-        rng, rows, parts, guard, masks = self._shared
+        rng, rows, guard, masks = self._shared
         with guard:
             if self._site == len(masks):
-                masks.append([rng.random((rows, *shape[1:])) >= rate, parts])
-            entry = masks[self._site]
-            kept, entry[1] = entry[0], entry[1] - 1
-            if entry[1] == 0:
-                entry[0] = None
+                masks.append(rng.random((rows, *shape[1:])) >= rate)
+            kept = masks[self._site]
         self._site += 1
         if kept.shape[1:] != tuple(shape[1:]) or shape[0] != self._hi - self._lo:
             raise ValueError(f"rows [{self._lo}, {self._hi}) of a {list(kept.shape)} mask do not fit {list(shape)}")

@@ -444,14 +444,24 @@ def test_predict_scores_the_same_at_any_worker_count(setting, monkeypatch):
 
 
 def test_backward_gives_every_leaf_the_same_gradient_on_its_helper_thread(setting, monkeypatch):
-    """One training step's backward at one worker, where every deferred gradient is computed
-    inline, and at three, where backward hands those of leaves to its helper threads."""
+    """One training step's backward at one worker, where every deferred gradient of a leaf runs as a
+    job on the calling thread, and at three, where backward submits those to the helper pool and at
+    least one runs on a helper thread."""
     _, _, graph, seqs = setting
     ran_on_main = []
+    helper_ran = threading.Event()
     run = resources.Job.run
 
     def watched(job):
-        ran_on_main.append(threading.current_thread() is threading.main_thread())
+        on_main = threading.current_thread() is threading.main_thread()
+        ran_on_main.append(on_main)
+        if not on_main:
+            helper_ran.set()
+        elif resources.scoring_workers() > 1:
+            # this thread runs every job still queued as it leaves the pool; on a busy box the helpers
+            # might not have been scheduled yet, so it lets one of them take a job first, waiting once
+            helper_ran.wait(5.0)
+            helper_ran.set()
         run(job)
 
     monkeypatch.setattr(resources.Job, "run", watched)
@@ -459,6 +469,7 @@ def test_backward_gives_every_leaf_the_same_gradient_on_its_helper_thread(settin
     def gradients(workers):
         monkeypatch.setattr(resources, "scoring_workers", lambda: workers)
         ran_on_main.clear()
+        helper_ran.clear()
         model, _ = _model(setting, attention_dropout=0.3, hidden_dropout=0.2)
         rng = np.random.default_rng(0)
         authors = model.user_embeddings(graph, graph.node_ids([s.author_id for s in seqs]), rng=rng)
@@ -466,14 +477,14 @@ def test_backward_gives_every_leaf_the_same_gradient_on_its_helper_thread(settin
         return {name: p.grad for name, p in model.named_parameters().items()}
 
     inline = gradients(1)
-    assert ran_on_main == []  # nothing handed to a helper thread
+    assert ran_on_main and all(ran_on_main)  # each submitted job ran at once, on this thread
     assert all(g is not None for g in inline.values())
     switching = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # hand the interpreter between threads as often as it can
     try:
         for _ in range(3):
             threaded = gradients(3)
-            assert ran_on_main and not any(ran_on_main)
+            assert ran_on_main and not all(ran_on_main)  # the helpers ran some; this thread may run the rest
             assert list(threaded) == list(inline)
             for name, grad in inline.items():
                 assert np.array_equal(threaded[name], grad), name

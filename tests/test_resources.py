@@ -1,10 +1,13 @@
-"""Process-wide resource settings: the malloc policy and one BLAS thread set on import, and the worker count."""
+"""Process-wide resource settings: the malloc policy and one BLAS thread set on import, the worker count, and the
+helper pool."""
 
 import importlib.util
 import json
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -123,3 +126,55 @@ print(r._openblas_function("set_num_threads") is not None, r.blas_threads(), r.s
     if out[0] == "False":
         pytest.skip("this numpy build loads no OpenBLAS that exports a set_num_threads symbol, so nothing is set")
     assert out[1:] == ["1", str(len(os.sched_getaffinity(0)))]
+
+
+def test_the_calling_thread_runs_the_jobs_the_helpers_have_not_taken(monkeypatch):
+    """At two workers the one helper is held in job ``a`` until job ``b`` sets its event, so only the
+    calling thread, running what is still queued as it leaves the pool, can run ``b``."""
+    monkeypatch.setattr(resources, "scoring_workers", lambda: 2)
+    started, released = threading.Event(), threading.Event()
+
+    def held():
+        started.set()
+        return released.wait(5.0)  # well inside the suite's 60 s faulthandler timeout
+
+    def release():
+        released.set()
+        return threading.current_thread() is threading.main_thread()
+
+    a, b = resources.Job(held), resources.Job(release)
+    with resources.helper_pool() as submit:
+        submit(a)
+        assert started.wait(5.0)  # the helper holds a
+        submit(b)
+    assert a.result() is True  # a saw the event set, not its timeout
+    assert b.result() is True  # b ran on the calling thread
+
+
+def test_at_one_worker_submit_runs_the_job_at_once_and_no_thread_starts(monkeypatch):
+    monkeypatch.setattr(resources, "scoring_workers", lambda: 1)
+    threads = threading.active_count()
+    job = resources.Job(lambda: (threading.current_thread(), threading.active_count()))
+    with resources.helper_pool() as submit:
+        submit(job)
+        assert job.result() == (threading.current_thread(), threads)  # ran before submit returned, here
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_run_jobs_returns_results_in_job_order_and_raises_the_first_failure_in_it(monkeypatch, workers):
+    monkeypatch.setattr(resources, "scoring_workers", lambda: workers)
+    assert resources.run_jobs([resources.Job(lambda i=i: i * i) for i in range(7)]) == [i * i for i in range(7)]
+
+    def fail(message, after):
+        time.sleep(after)
+        raise ValueError(message)
+
+    jobs = [
+        resources.Job(lambda: 0),
+        resources.Job(lambda: fail("earlier", 0.05)),  # fails last in time above one worker
+        resources.Job(lambda: 2),
+        resources.Job(lambda: fail("later", 0.0)),
+    ]
+    with pytest.raises(ValueError, match="earlier"):
+        resources.run_jobs(jobs)
+    assert str(jobs[3].error) == "later"  # every job ran
