@@ -27,7 +27,7 @@ from .tensor import (
     Tensor,
     add,
     concat,
-    dropout_scale,
+    dropout,
     elu,
     gather_rows,
     leaky_relu,
@@ -128,8 +128,9 @@ def gat_forward(
     of the distinct users and each row equals the full pass's row exactly.
 
     With ``rng``, the attention coefficients get dropout at ``attn_dropout``.
-    The mask is one [K, E] draw over every edge of the graph, read at the
-    local edges, so the random stream is the full pass's.
+    ``tensor.dropout`` draws the mask as one [K, E] draw over every edge of
+    the graph (``whole``) and reads it at the local edges (``at``), so the
+    random stream is the full pass's.
     """
     if node_features.shape[0] != graph.num_nodes:
         raise ValueError("feature rows must match graph nodes")
@@ -143,9 +144,9 @@ def gat_forward(
     rows = reshape(projected, (n, len(projections), dim))  # the heads' rows, then the residual's
     z = rows[:, :heads]
     alpha = attention_coefficients(z, edge_src, edge_dst, concat(params.head_attn, axis=1), n)
-    keep = dropout_scale((heads, graph.edge_count(symmetric)), attn_dropout, rng, np.s_[:, edges])
-    if keep is not None:
-        alpha = mul(alpha, Tensor(keep.T))
+    # alpha's [e, k] reads the draw's [k, edges[e]]
+    whole, at = (heads, graph.edge_count(symmetric)), (np.arange(heads), edges[:, None])
+    alpha = dropout(alpha, attn_dropout, rng, whole=whole, at=at)
     weighted = mul(reshape(alpha, (num_edges, heads, 1)), gather_rows(z, edge_dst))
     mixed = reshape(segment_sum(reshape(weighted, (num_edges, heads * dim)), edge_src, n), (n, heads, dim))
     embedded = reshape(concat([elu(mixed), rows[:, heads:]], axis=1), (n, params.output_dim))

@@ -9,9 +9,11 @@ segmentation so fragment anchors inside links are never split.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, replace
 from importlib import resources
+from types import MappingProxyType
 
 from .outfile import numbered_lines
 
@@ -64,13 +66,13 @@ _MODIFIERS = re.compile(_MODIFIER)
 
 
 class EmojiTable:
-    """Emoji-to-phrase mapping loaded from a two-column TSV."""
+    """Emoji-to-phrase mapping loaded from a two-column TSV; the mapping is read-only."""
 
     def __init__(self, mapping: dict[str, str]):
         for emoji, phrase in mapping.items():
             if not phrase.replace(" ", "").isalpha():  # str.isalpha: letters only, at least one
                 raise ValueError(f"emoji phrase must be letters and spaces, at least one letter: {phrase!r}")
-        self.mapping = dict(mapping)
+        self.mapping = MappingProxyType(dict(mapping))
 
     def __len__(self) -> int:
         return len(self.mapping)
@@ -92,7 +94,9 @@ class EmojiTable:
         return cls(mapping)
 
     @classmethod
+    @functools.cache
     def default(cls) -> "EmojiTable":
+        """The packaged ``data/emoji_table.tsv``, read once per process and shared."""
         ref = resources.files("offgraph").joinpath("data/emoji_table.tsv")
         with resources.as_file(ref) as path:
             return cls.from_tsv(path)

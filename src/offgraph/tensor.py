@@ -45,7 +45,10 @@ Conventions:
     any worker count,
   * a function that draws random numbers takes a ``np.random.Generator``
     and draws nothing without one: ``dropout`` with ``rng=None`` is the
-    identity, which is evaluation mode. Dropout uses inverted scaling.
+    identity, which is evaluation mode. Dropout uses inverted scaling, and
+    ``dropout`` draws every mask: over ``x.shape``, over a larger ``whole``
+    read at ``at`` (the graph attention's mask over every edge of the
+    graph), or through ``RowDraws`` in a forward run in row parts.
 
 Batched sequences are ``[B, S, d]`` arrays. Products with a weight matrix
 flatten the leading axes into rows (one ``[B*S, d] @ [d, e]`` product);
@@ -96,7 +99,6 @@ __all__ = [
     "softmax",
     "layer_norm",
     "dropout",
-    "dropout_scale",
     "RowDraws",
     "clip",
     "segment_softmax",
@@ -114,7 +116,7 @@ class Tensor:
     populated (or accumulated into) by ``backward()`` for every leaf with
     ``requires_grad`` reachable from the loss, as a float64 ndarray too.
     A tensor requires grad iff it has a tape node: an op's, or a leaf's own,
-    made when the tensor is built or ``requires_grad`` is set, so that threads
+    made when the tensor is built (``requires_grad=True``), so that threads
     recording on one parameter at once share it.
     """
 
@@ -127,15 +129,8 @@ class Tensor:
 
     @property
     def requires_grad(self) -> bool:
-        """Whether the tensor has a node; setting True gives a constant a leaf's and keeps any, False drops it."""
+        """Whether the tensor has a tape node, which it gets when it is built."""
         return self._node is not None
-
-    @requires_grad.setter
-    def requires_grad(self, value: bool) -> None:
-        if not value:
-            self._node = None
-        elif self._node is None:
-            self._node = _Node((), None, self)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -625,29 +620,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return _make(normed * gain.data + bias.data, (x, gain, bias), backward)
 
 
-def dropout_scale(shape, rate: float, rng: np.random.Generator | None, at=...) -> np.ndarray | None:
-    """Inverted-dropout multipliers for one mask over ``shape``, read at ``at``.
-
-    Each entry is 0 with probability ``rate`` and ``1 / (1 - rate)`` otherwise.
-    The uniforms are drawn over all of ``shape``, so the random stream does
-    not depend on ``at``; only the entries read are thresholded. Returns
-    ``None`` and draws nothing without ``rng`` (evaluation mode) or at rate 0.
-    """
-    kept = _kept(shape, rate, rng, at)
-    return None if kept is None else kept / (1.0 - rate)
-
-
-def _kept(shape, rate: float, rng: np.random.Generator | RowDraws | None, at=...) -> np.ndarray | None:
-    """The boolean survivors of ``dropout_scale``'s mask, from the same draw."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if rng is None or rate == 0.0:
-        return None
-    if isinstance(rng, RowDraws):
-        return rng.kept(shape, rate)
-    return rng.random(shape)[at] >= rate
-
-
 class RowDraws:
     """Dropout for rows ``[lo, hi)`` of a batch whose other rows other forwards take, maybe at once.
 
@@ -655,8 +627,9 @@ class RowDraws:
     forward takes ``rng``. A part's k-th ``dropout`` reads its rows of the
     batch's k-th mask, which the first part to get there draws from ``rng``
     over the whole batch and thresholds. So the parts draw what one forward
-    over the batch would, in its order, and each row keeps its mask. For
-    ``dropout`` only: ``dropout_scale(..., at)`` takes a generator.
+    over the batch would, in its order, and each row keeps its mask. A mask
+    drawn over more than the batch (``dropout``'s ``whole`` and ``at``) takes
+    a generator.
     """
 
     __slots__ = ("_shared", "_lo", "_hi", "_site")
@@ -682,16 +655,31 @@ class RowDraws:
         return kept[self._lo : self._hi]
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator | None = None) -> Tensor:
+def dropout(
+    x: Tensor, rate: float, rng: np.random.Generator | RowDraws | None = None, *, whole=None, at=...
+) -> Tensor:
     """Inverted dropout: zero with probability ``rate`` and rescale survivors.
 
-    Without ``rng`` (evaluation mode) it is the exact identity. The tape keeps
-    the boolean mask, not the float64 multipliers: backward divides it by
-    ``1 - rate`` again, which gives the same values.
+    Without ``rng`` (evaluation mode) or at rate 0 it is the exact identity and
+    draws nothing; a rate outside [0, 1) raises in either mode. With a
+    generator the mask is ``rng.random(whole)[at] >= rate``, ``whole`` being
+    ``x.shape`` unless given: the uniforms are drawn over all of ``whole``, so
+    the random stream does not depend on ``at``, and the read must have
+    ``x``'s shape. With ``RowDraws``, which takes no ``whole``, the mask is its
+    rows of the batch's mask. The tape keeps the boolean mask, not the float64
+    multipliers: backward divides it by ``1 - rate`` again, which gives the
+    same values.
     """
-    kept = _kept(x.shape, rate, rng)
-    if kept is None:
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+    if rng is None or rate == 0.0:
         return x
+    if isinstance(rng, RowDraws):
+        kept = rng.kept(x.shape, rate)
+    else:
+        kept = rng.random(x.shape if whole is None else whole)[at] >= rate
+        if kept.shape != x.shape:
+            raise ValueError(f"a dropout mask read at `at` has shape {list(kept.shape)}, not the input's {list(x.shape)}")
 
     def backward(g):
         return (g * (kept / (1.0 - rate)),)

@@ -141,6 +141,7 @@ def test_eval_reads_the_emoji_table_once(workdir, trained, monkeypatch):
         return from_tsv(cls, path)
 
     monkeypatch.setattr(EmojiTable, "from_tsv", classmethod(counted))
+    EmojiTable.default.cache_clear()  # an earlier test may have read the packaged table in this process
     rc = main([
         "eval", "--checkpoint", str(trained[1]),
         "--tweets", str(workdir / "tweets.jsonl"), "--out", str(workdir / "eval_once.json"),

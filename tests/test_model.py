@@ -18,7 +18,7 @@ from offgraph.graph import build_graph, with_node_features
 from offgraph.losses import focal_loss_tensor
 from offgraph.model import ABLATIONS, DetectionModel
 from offgraph.synthetic import generate_corpus
-from offgraph.tensor import _toposort, concat, dropout, dropout_scale, gather_rows, no_grad, reshape
+from offgraph.tensor import _toposort, concat, dropout, gather_rows, no_grad, reshape
 from offgraph.training import ConfigError, TrainConfig
 
 
@@ -317,18 +317,12 @@ def test_training_pass_drops_out_at_the_config_rates_in_order(setting, monkeypat
     rng = np.random.default_rng(0)
     calls, generators = [], []
 
-    def record(x, rate, gen=None):
-        calls.append((rate, x.shape))
+    def record(x, rate, gen=None, *, whole=None, at=...):
+        calls.append((rate, x.shape if whole is None else whole))
         generators.append(gen)
-        return dropout(x, rate, gen)
+        return dropout(x, rate, gen, whole=whole, at=at)
 
-    def record_gat(shape, rate, gen, at=...):
-        calls.append((rate, shape))
-        generators.append(gen)
-        return dropout_scale(shape, rate, gen, at)
-
-    monkeypatch.setattr(gat, "dropout_scale", record_gat)
-    for module in (attention, encoder, fusion):
+    for module in (gat, attention, encoder, fusion):
         monkeypatch.setattr(module, "dropout", record)
     authors = graph.node_ids([s.author_id for s in seqs])
     model.forward_batch(seqs, model.user_embeddings(graph, authors, rng=rng), rng=rng)

@@ -35,6 +35,27 @@ def test_default_table_is_large_and_clean(table):
         assert all(c.isalpha() or c == " " for c in phrase)
 
 
+def test_the_default_table_is_read_once_and_its_mapping_rejects_writes(monkeypatch):
+    reads = []
+    from_tsv = EmojiTable.from_tsv.__func__
+
+    def counted(cls, path):
+        reads.append(path)
+        return from_tsv(cls, path)
+
+    monkeypatch.setattr(EmojiTable, "from_tsv", classmethod(counted))
+    EmojiTable.default.cache_clear()
+    first = EmojiTable.default()
+    assert preprocess_text("so \U0001F602 #GoodDay") == preprocess_text("so \U0001F602 #GoodDay", first)
+    assert EmojiTable.default() is first and len(reads) == 1
+    emoji = next(iter(first.mapping))
+    with pytest.raises(TypeError):
+        first.mapping[emoji] = "changed"
+    with pytest.raises(TypeError):
+        del first.mapping[emoji]
+    assert EmojiTable.default().lookup(emoji) != "changed"
+
+
 def test_raw_tweet_validation():
     with pytest.raises(ValueError):
         RawTweet("t1", "u1", "x", 2)

@@ -383,8 +383,7 @@ def test_a_constant_operand_gets_no_gradient_and_the_other_is_unchanged(op, othe
     both = [Tensor(x_data, requires_grad=True), Tensor(c_data, requires_grad=True)]
     (op(*both) * Tensor(upstream)).sum().backward()
     for grad_side in (0, 1):
-        pair = [Tensor(x_data), Tensor(c_data)]
-        pair[grad_side].requires_grad = True
+        pair = [Tensor(data, requires_grad=side == grad_side) for side, data in enumerate((x_data, c_data))]
         (op(*pair) * Tensor(upstream)).sum().backward()
         assert np.array_equal(pair[grad_side].grad, both[grad_side].grad)
         assert pair[1 - grad_side].grad is None
@@ -459,6 +458,49 @@ def test_dropout_reproducible_for_fixed_seed():
     a = T.dropout(x, 0.3, rng=np.random.default_rng(123))
     b = T.dropout(x, 0.3, rng=np.random.default_rng(123))
     assert np.array_equal(a.data, b.data)
+
+
+@st.composite
+def _mask_reads(draw):
+    """A ``whole`` shape and an ``at`` into it: basic (slices, ints, ``...``) or fancy (index arrays)."""
+    whole = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)))
+    if draw(st.booleans()):
+        at = tuple(draw(st.one_of(st.integers(0, n - 1), st.slices(n))) for n in whole)
+        return whole, draw(st.sampled_from([at, ...]))
+    picks = [np.array(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))) for n in whole]
+    length = min(len(p) for p in picks)
+    return whole, tuple(p[:length] for p in picks[:-1]) + (picks[-1][:, None],)
+
+
+@given(_mask_reads(), st.sampled_from([0.1, 0.5, 0.9]), st.integers(0, 2**16))
+def test_dropout_reads_one_draw_over_whole_at_at(read, rate, seed):
+    whole, at = read
+    shape = np.empty(whole)[at].shape
+    x = Tensor(np.random.default_rng(seed + 1).normal(size=shape), requires_grad=True)
+    upstream = np.random.default_rng(seed + 2).normal(size=shape)
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    y = T.dropout(x, rate, rng, whole=whole, at=at)
+    kept = twin.random(whole)[at] >= rate
+    assert rng.bit_generator.state == twin.bit_generator.state
+    assert np.array_equal(y.data, x.data * (kept / (1.0 - rate)))
+    (y * Tensor(upstream)).sum().backward()
+    assert np.array_equal(x.grad, upstream * (kept / (1.0 - rate)))
+    for gen, r in ((None, rate), (rng, 0.0)):
+        before = rng.bit_generator.state
+        assert T.dropout(x, r, gen, whole=whole, at=at) is x
+        assert rng.bit_generator.state == before
+    for bad in (-0.1, 1.0):
+        with pytest.raises(ValueError, match="dropout rate"):
+            T.dropout(x, bad, None, whole=whole, at=at)
+
+
+def test_dropout_rejects_a_mask_read_of_another_shape():
+    """A read that does not match the input raises, naming both shapes, where a product would broadcast it."""
+    x = Tensor(np.ones((4, 3)))
+    with pytest.raises(ValueError, match=r"\[3, 4\].*\[4, 3\]"):
+        T.dropout(x, 0.5, np.random.default_rng(0), whole=(3, 4))
+    with pytest.raises(ValueError, match=r"\[4, 1\].*\[4, 3\]"):
+        T.dropout(x, 0.5, np.random.default_rng(0), whole=(5, 5), at=np.s_[:4, :1])
 
 
 @pytest.mark.parametrize("width", [1, 192])
